@@ -318,8 +318,7 @@ def run(args) -> int:
         status = "verification-failed"
         code = 1
     except (LambdaNotFound, GrowthExhausted, SequenceExhausted) as exc:
-        results = {"error": str(exc),
-                   "diagnostics": getattr(exc, "diagnostics", None)}
+        results = {"error": str(exc), "diagnostics": exc.diagnostics}
         status = "verification-failed"
         code = 1
     except (CapExceeded, PrecisionExhausted) as exc:

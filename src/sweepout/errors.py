@@ -7,7 +7,15 @@ exit 2, configuration problems exit 3.
 
 
 class SweepoutError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors.
+
+    diagnostics holds JSON-ready details (numbers as fraction strings)
+    that the CLI copies into the report.
+    """
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class PrecisionExhausted(SweepoutError, ArithmeticError):
@@ -26,17 +34,14 @@ class CapExceeded(SweepoutError):
 class LambdaNotFound(SweepoutError):
     """No scaling parameter satisfied the requested window inequalities."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 class GrowthExhausted(SweepoutError):
     """The lattice level cap was reached before the witness-pair counts
     satisfied their target ratio."""
 
     def __init__(self, message, best_ratio=None):
-        super().__init__(message)
+        super().__init__(message, {
+            "best_ratio": None if best_ratio is None else str(best_ratio)})
         self.best_ratio = best_ratio
 
 
@@ -45,7 +50,8 @@ class SequenceExhausted(SweepoutError):
     continue the gap-separated selection."""
 
     def __init__(self, message, required_bound=None):
-        super().__init__(message)
+        super().__init__(message, {
+            "required_bound": None if required_bound is None else required_bound.to_json()})
         self.required_bound = required_bound
 
 

@@ -58,6 +58,10 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+def _is_square(n: int) -> bool:
+    return math.isqrt(n) ** 2 == n
+
+
 class Generator:
     """One basis element: an exact rational, a square-root surd, or a
     decimal literal of declared precision (in bits)."""
@@ -127,8 +131,9 @@ class GeneratorBasis:
     """Ordered generator list; coordinate 0 is always the rational one.
 
     Independence of the generator values together with 1 is certified
-    automatically when all irrational generators are surds with distinct
-    squarefree radicands, and must be asserted by the caller otherwise.
+    automatically when all irrational generators are surds and no radicand
+    and no product of two radicands is a perfect square (decided exactly);
+    it must be asserted by the caller otherwise.
     """
 
     __slots__ = ("gens", "independence_certified", "precision_cap",
@@ -142,9 +147,14 @@ class GeneratorBasis:
         for g in gens[1:]:
             if g.kind == "rat":
                 raise ValueError("only the leading generator may be rational")
+        # {1, sqrt a_1, ..., sqrt a_k} is independent over Q exactly when
+        # no a_i and no product a_i * a_j is a perfect square
         radicands = [g.radicand for g in gens if g.kind == "sqrt"]
-        if len(set(radicands)) != len(radicands):
-            raise ValueError("duplicate sqrt radicands in basis")
+        for i, a in enumerate(radicands):
+            for b in [1] + radicands[:i]:
+                if _is_square(a * b):
+                    raise ValueError(f"{b} * {a} is a perfect square, so the "
+                                     f"sqrt generators are rationally dependent")
         all_surds = all(g.kind in ("rat", "sqrt") for g in gens)
         self.gens = tuple(gens)
         self.independence_certified = bool(all_surds or assert_independent)

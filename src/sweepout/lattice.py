@@ -11,9 +11,11 @@ are then enumerated, counted inside intervals against the density
 constant gamma = (2 tau)^(nu-1) p / y_nu, and checked for the shift
 closure  A_m cap (-x_l, 0) + X  inside  A_{m+1} cap (-x_l, x_l).
 
-Counting is exhaustive tuple enumeration. The kernel backend performs a
-conservative float classification; tuples near an interval edge are
-re-decided with exact arithmetic, so every reported count is exact.
+Counting is range counting with exact resolution near edges: for each
+prefix of the integer tuple, the kernel classifies the last coordinate in
+blocks from float data, and only tuples whose value lands within a
+rigorous guard of an interval edge are re-decided with exact arithmetic,
+so every reported count is exact.
 """
 
 from __future__ import annotations
@@ -333,7 +335,7 @@ def _classify(spec: LatticeSpec, m: int, window: IntervalSet, cap: int, collect:
 
 def lattice_count(spec: LatticeSpec, m: int, window: IntervalSet,
                   cap: int = DEFAULT_TUPLE_CAP) -> int:
-    """Exact #(A_m cap window) by exhaustive classification."""
+    """Exact #(A_m cap window) by range counting."""
     count, _ = _classify(spec, m, window, cap, collect=False)
     return count
 
@@ -471,10 +473,10 @@ def shift_closure_check(spec: LatticeSpec, m: int,
                         cap: int = DEFAULT_TUPLE_CAP) -> ClosureCertificate:
     """Exact check of  A_m cap (-x_l, 0) + X  inside  A_{m+1} cap (-x_l, x_l).
 
-    Membership on the left factor is decided by enumeration; each sum is
-    checked through its integer representation (unique over the
-    independent core) plus an exact interval test. Failure returns the
-    violating pair.
+    Membership on the left factor is decided by the lattice classifier;
+    each sum is checked through its integer representation (unique over
+    the independent core) plus an exact interval test. Failure returns
+    the violating pair.
     """
     x_l = spec.x_l
     window = IntervalSet.single(spec.basis, -x_l, spec.basis.rational(0))

@@ -92,6 +92,22 @@ def test_build_eg_command(config):
     assert (config / "out" / "eg_pair.json").exists()
 
 
+def test_build_eg_exhausted_reports_best_ratio(tmp_path):
+    # a level cap below the first passing level: the report's diagnostics
+    # carry the best #E / #G ratio reached
+    cfg = write_config(tmp_path, params={"m_max": 2, "epsilon": "1/7"})
+    cfg["measures"] = [{
+        "atoms": [{"coeffs": ["1/20", "0", "0"]}, {"coeffs": ["0", "1/26", "0"]},
+                  {"coeffs": ["0", "0", "1/37"]}],
+        "masses": ["1/7", "4/7", "2/7"],
+    }]
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert run(tmp_path, "build-eg") == 1
+    rep = report(tmp_path, "build-eg")
+    assert rep["status"] == "verification-failed"
+    assert rep["results"]["diagnostics"] == {"best_ratio": "1/41"}
+
+
 def test_build_verify_trace_pipeline(config):
     assert run(config, "build-witness") == 0
     assert (config / "out" / "witness.json").exists()

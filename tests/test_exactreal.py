@@ -40,8 +40,13 @@ def test_basis_independence_certification():
     assert not GeneratorBasis.from_specs(["dec:0.7071@60"]).independence_certified
     assert GeneratorBasis.from_specs(["dec:0.7071@60"],
                                      assert_independent=True).independence_certified
-    with pytest.raises(ValueError):
-        GeneratorBasis.from_specs(["sqrt:2", "sqrt:2"])
+    # 2 * 1000003^2 and 1000003^2 escape the bounded squarefree trial
+    # division; sqrt(2 * 1000003^2) = 1000003 * sqrt(2)
+    for specs in (["sqrt:2", "sqrt:2"], ["sqrt:2", f"sqrt:{2 * 1000003**2}"],
+                  [f"sqrt:{1000003**2}"]):
+        with pytest.raises(ValueError):
+            GeneratorBasis.from_specs(specs)
+    assert GeneratorBasis.from_specs([f"sqrt:{2 * 1000003**2}"]).independence_certified
 
 
 # ---------------------------------------------------------------------------

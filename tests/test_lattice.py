@@ -128,23 +128,35 @@ def test_count_matches_enumeration_oracle(surd_spec, surd_basis):
             assert all(window.contains(p) for p in hits)
 
 
+def _random_surd_spec(rng):
+    """Support over two random squarefree surds: a mixed point
+    q + r sqrt(a), a pure surd s sqrt(b), and their sum."""
+    a, b = rng.sample([5, 6, 7, 10, 11, 13], 2)
+    basis = GeneratorBasis.from_specs([f"sqrt:{a}", f"sqrt:{b}"])
+    x = basis.point([F(1, rng.randint(8, 12)), F(1, rng.randint(10, 16)), "0"])
+    y = basis.point(["0", "0", F(1, rng.randint(10, 16))])
+    return basis, decompose([x, y, x + y])
+
+
 def test_count_adversarial_edges(surd_spec, surd_basis):
     # windows whose endpoints ARE lattice values: the float filter must
     # push those tuples to exact resolution, and open semantics exclude
     # the endpoints themselves
-    pts = enumerate_lattice(surd_spec, 3)
     rng = random.Random(77)
-    for _ in range(12):
-        a, b = sorted(rng.sample(range(len(pts)), 2))
-        lo, hi = pts[a], pts[b]
-        if compare(lo, hi) >= 0:
-            continue
-        window = IntervalSet.single(surd_basis, lo, hi)
-        oracle = sum(1 for p in pts if window.contains(p))
-        assert lattice_count(surd_spec, 3, window) == oracle
-        hits = lattice_hits(surd_spec, 3, window)
-        assert len(hits) == oracle
-        assert lo not in set(hits) and hi not in set(hits)
+    basis2, spec2 = _random_surd_spec(rng)
+    for spec, basis in ((surd_spec, surd_basis), (spec2, basis2)):
+        pts = enumerate_lattice(spec, 3)
+        for _ in range(12):
+            a, b = sorted(rng.sample(range(len(pts)), 2))
+            lo, hi = pts[a], pts[b]
+            if compare(lo, hi) >= 0:
+                continue
+            window = IntervalSet.single(basis, lo, hi)
+            oracle = sum(1 for p in pts if window.contains(p))
+            assert lattice_count(spec, 3, window) == oracle
+            hits = lattice_hits(spec, 3, window)
+            assert len(hits) == oracle
+            assert lo not in set(hits) and hi not in set(hits)
 
 
 def test_count_edge_at_lattice_point(surd_spec, surd_basis, root3_over4):
