@@ -18,10 +18,15 @@ factored family of m such pairs together with a certified thickening
 radius; counts, gaps and all claimed inequalities reduce to factor level,
 with explicit sumset enumeration retained as a brute-force oracle for
 small instances.
+
+Pairs are accepted only through EGPair.certify, and witnesses, built or
+trimmed, only through _assemble, which certifies the separation chain,
+the thickening radius and the product counts.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -100,7 +105,7 @@ class EGPair:
 
     @classmethod
     def from_json(cls, basis: GeneratorBasis, obj) -> "EGPair":
-        return cls(
+        pair = cls(
             mu_index=int(obj["mu_index"]),
             epsilon=parse_fraction(obj["epsilon"]),
             lam=parse_fraction(obj["lam"]),
@@ -108,6 +113,9 @@ class EGPair:
             E=tuple(Point.from_json(basis, p) for p in obj["E"]),
             G=tuple(Point.from_json(basis, p) for p in obj["G"]),
         )
+        if not pair.E or not pair.G:
+            raise ValueError(f"pair for measure {pair.mu_index} has an empty E or G")
+        return pair
 
 
 def build_eg(mu: DiscreteMeasure, eps: Fraction, m_max: int = DEFAULT_M_MAX,
@@ -117,8 +125,8 @@ def build_eg(mu: DiscreteMeasure, eps: Fraction, m_max: int = DEFAULT_M_MAX,
 
     lam is fixed once through the constrained window search; the lattice
     level then grows on a doubling schedule until the pair counts reach
-    #E > eps #G / 4. The convolution inequality is re-checked exactly at
-    every point of E before the pair is accepted.
+    #E > eps #G / 4. A level is accepted only when EGPair.certify
+    re-checks every pair inequality exactly.
 
     The window search only ever consumes the largest-lam qualifying piece
     here, so a shallow profile floor suffices; the search lowers the
@@ -140,7 +148,6 @@ def build_eg(mu: DiscreteMeasure, eps: Fraction, m_max: int = DEFAULT_M_MAX,
     res = find_lambda(mu, eps, delta=Fraction(1), constraints=constraints,
                       floor_scale=floor_scale)
     U, V = res.U, res.V
-    threshold = (1 - 3 * eps) * mu.total_mass
     best_ratio = None
     if len(mu) > 1:
         m = 1
@@ -152,12 +159,10 @@ def build_eg(mu: DiscreteMeasure, eps: Fraction, m_max: int = DEFAULT_M_MAX,
                 if best_ratio is None or ratio > best_ratio:
                     best_ratio = ratio
                 if ratio > eps / 4:
-                    gset = PointSet(G)
-                    disjoint = not any(p in gset for p in E)
-                    h2 = all(convolve_indicator(mu, gset, x) > threshold for x in E)
-                    if disjoint and h2:
-                        return EGPair(mu_index=mu_index, epsilon=eps, lam=res.lam,
-                                      m=m, E=tuple(E), G=tuple(G))
+                    pair = EGPair(mu_index=mu_index, epsilon=eps, lam=res.lam,
+                                  m=m, E=tuple(E), G=tuple(G))
+                    if pair.certify(mu)["ok"]:
+                        return pair
             m *= 2
     if spec.nu == 1:
         pair = _degenerate_pair(mu, eps, res, mu_index)
@@ -254,10 +259,7 @@ def unique_sum_check(sets: Sequence[Sequence[Point]],
         raise CapExceeded(
             f"{total} sum tuples exceed the cap {cap}; rely on separation_check")
     seen: dict = {}
-    for combo in itertools.product(*sets):
-        acc = combo[0]
-        for p in combo[1:]:
-            acc = acc + p
+    for acc, combo in _sums(sets):
         key = acc.coeffs
         if key in seen:
             return False, {
@@ -267,6 +269,16 @@ def unique_sum_check(sets: Sequence[Sequence[Point]],
             }
         seen[key] = combo
     return True, {"distinct_sums": total}
+
+
+def _sums(parts: Sequence[Sequence[Point]]):
+    """(sum, combo) for every choice of one point per part, the last
+    part varying fastest."""
+    for combo in itertools.product(*parts):
+        acc = combo[0]
+        for p in combo[1:]:
+            acc = acc + p
+        yield acc, combo
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +371,10 @@ class SweepOutWitness:
     # -- explicit enumeration (oracle scale) ------------------------------
 
     def explicit_G(self, cap: int = DEFAULT_EXPLICIT_CAP) -> list[Point]:
-        total = 1
-        for f in self.factors:
-            total *= len(f.G)
+        total, _ = _product_counts(self.factors)
         if total > cap:
             raise CapExceeded(f"explicit G needs {total} points, cap {cap}")
-        out = []
-        for combo in itertools.product(*[f.G for f in self.factors]):
-            acc = combo[0]
-            for p in combo[1:]:
-                acc = acc + p
-            out.append(acc)
-        return out
+        return [acc for acc, _ in _sums([f.G for f in self.factors])]
 
     def explicit_E(self, cap: int = DEFAULT_EXPLICIT_CAP) -> list[tuple[Point, int]]:
         """(point, k) pairs where k is the factor contributing its E set."""
@@ -380,11 +384,7 @@ class SweepOutWitness:
         out = []
         for k in range(self.m):
             parts = [f.E if i == k else f.G for i, f in enumerate(self.factors)]
-            for combo in itertools.product(*parts):
-                acc = combo[0]
-                for p in combo[1:]:
-                    acc = acc + p
-                out.append((acc, k))
+            out.extend((acc, k) for acc, _ in _sums(parts))
         return out
 
     def thickened(self, points: Sequence[Point]) -> IntervalSet:
@@ -401,8 +401,6 @@ class SweepOutWitness:
         draws from E. Greedy per-factor nearest-neighbor selection; both
         bisect neighbors are explored, which is complete inside the
         certified separation radius."""
-        import bisect
-
         factor_lists = []
         for i, f in enumerate(self.factors):
             factor_lists.append(f.E if i == use_E_at else f.G)  # sorted
@@ -413,7 +411,7 @@ class SweepOutWitness:
             if i == len(factor_lists):
                 return residual if compare(abs(residual), self.eps_prime) < 0 else None
             pts = factor_lists[i]
-            j = bisect.bisect_left(list(pts), residual)
+            j = bisect.bisect_left(pts, residual)
             cands = [c for c in (j - 1, j) if 0 <= c < len(pts)]
             for cand in cands:
                 r = rec(i + 1, residual - pts[cand])
@@ -451,7 +449,7 @@ class SweepOutWitness:
         sep = SeparationReport(ok=obj["separation"]["ok"],
                                rows=obj["separation"]["rows"],
                                failing_pair=obj["separation"]["failing_pair"])
-        return cls(
+        w = cls(
             Delta=parse_fraction(obj["Delta"]),
             delta=parse_fraction(obj["delta"]),
             epsilon=parse_fraction(obj["epsilon"]),
@@ -464,6 +462,14 @@ class SweepOutWitness:
             count_F=[int(c) for c in obj["count_F"]],
             separation=sep,
         )
+        # verify pairs indices[k] with factors[k]; a short list would
+        # leave factors unchecked
+        if w.m < 1 or not len(w.indices) == len(w.factors) == len(w.count_F) == w.m:
+            raise ValueError(f"m = {w.m} disagrees with {len(w.indices)} indices, "
+                             f"{len(w.factors)} factors and {len(w.count_F)} counts")
+        if any(i != f.mu_index for i, f in zip(w.indices, w.factors)):
+            raise ValueError("indices disagree with the factors' mu_index")
+        return w
 
 
 def _certified_thickening(factor_sets: Sequence[Sequence[Point]]) -> Point:
@@ -510,30 +516,36 @@ def build_witness(seq: MeasureSequence, Delta: Fraction, delta: Fraction,
     if m > m_cap:
         raise CapExceeded(f"witness needs m = {m} factors, cap is {m_cap}")
     sel = select_subsequence(seq, eps, m, m_max=m_max, tuple_cap=tuple_cap)
-    factor_sets = [f.points() for f in sel.factors]
+    return _assemble(Delta, delta, eps, sel.indices, sel.factors)
+
+
+def _product_counts(factors: Sequence[EGPair]) -> tuple[int, list[int]]:
+    """#G = prod_i #G_i and #F_k = #E_k prod_{i != k} #G_i, exact by
+    unique decomposition of sums."""
+    count_G = 1
+    for f in factors:
+        count_G *= len(f.G)
+    return count_G, [count_G // len(f.G) * len(f.E) for f in factors]
+
+
+def _assemble(Delta: Fraction, delta: Fraction, eps: Fraction,
+              indices: Sequence[int], factors: list[EGPair]) -> SweepOutWitness:
+    """Certify a factor family as a sweep-out witness: the separation
+    chain, a positive thickening radius and #E > Delta #G, all exact.
+    The one assembly path behind build_witness and trim_witness."""
+    factor_sets = [f.points() for f in factors]
     sep = separation_check(factor_sets)
     if not sep.ok:
         raise VerificationFailed("separation chain failed on selected factors",
                                  report=sep.to_json())
     eps_prime = _certified_thickening(factor_sets)
-    g_counts = [len(f.G) for f in sel.factors]
-    e_counts = [len(f.E) for f in sel.factors]
-    count_G = 1
-    for c in g_counts:
-        count_G *= c
-    count_F = []
-    for k in range(m):
-        fk = e_counts[k]
-        for i, c in enumerate(g_counts):
-            if i != k:
-                fk *= c
-        count_F.append(fk)
+    count_G, count_F = _product_counts(factors)
     count_E = sum(count_F)
     if not Fraction(count_E) > Delta * count_G:
         raise VerificationFailed(
             f"count inequality failed: {count_E} <= {Delta} * {count_G}")
-    return SweepOutWitness(Delta=Delta, delta=delta, epsilon=eps, m=m,
-                           indices=sel.indices, factors=sel.factors,
+    return SweepOutWitness(Delta=Delta, delta=delta, epsilon=eps, m=len(factors),
+                           indices=list(indices), factors=factors,
                            eps_prime=eps_prime, count_G=count_G,
                            count_E=count_E, count_F=count_F, separation=sep)
 
@@ -593,12 +605,7 @@ def _factor_checks(w: SweepOutWitness, seq: MeasureSequence) -> list[Check]:
             name=f"factor[{k}].pair_invariants",
             claim="E cap G empty, #E > eps #G / 4, conv > (1-3eps)|mu| on E",
             computed=cert, passed=bool(cert["ok"]), method="exact"))
-        gset = PointSet(f.G)
-        worst = None
-        for x in f.E:
-            v = convolve_indicator(mu, gset, x)
-            if worst is None or v < worst:
-                worst = v
+        worst = parse_fraction(cert["h2_min"])
         scaled = w.delta * mu.total_mass
         checks.append(Check(
             name=f"factor[{k}].threshold",
@@ -606,7 +613,7 @@ def _factor_checks(w: SweepOutWitness, seq: MeasureSequence) -> list[Check]:
             computed={"min_value": fraction_str(worst), "points": len(f.E),
                       "delta": fraction_str(w.delta),
                       "delta_scaled": fraction_str(scaled)},
-            passed=worst is not None and worst > w.delta and worst > scaled,
+            passed=worst > w.delta and worst > scaled,
             method="exact"))
     sep = separation_check(w.factor_sets())
     checks.append(Check(
@@ -621,18 +628,7 @@ def _factor_checks(w: SweepOutWitness, seq: MeasureSequence) -> list[Check]:
                   "certified": decimal_enclosure_str(eps_prime)},
         passed=w.eps_prime.sign() > 0 and compare(w.eps_prime, eps_prime) <= 0,
         method="exact"))
-    g_counts = [len(f.G) for f in w.factors]
-    e_counts = [len(f.E) for f in w.factors]
-    count_G = 1
-    for c in g_counts:
-        count_G *= c
-    count_F = []
-    for k in range(w.m):
-        fk = e_counts[k]
-        for i, c in enumerate(g_counts):
-            if i != k:
-                fk *= c
-        count_F.append(fk)
+    count_G, count_F = _product_counts(w.factors)
     count_E = sum(count_F)
     checks.append(Check(
         name="count_inequality",
@@ -847,30 +843,7 @@ def trim_witness(w: SweepOutWitness, seq: MeasureSequence,
         if not cert["ok"]:
             raise VerificationFailed(f"trimmed pair failed certification: {cert}")
         new_factors.append(trimmed)
-    factor_sets = [f.points() for f in new_factors]
-    sep = separation_check(factor_sets)
-    if not sep.ok:
-        raise VerificationFailed("separation chain failed after trimming")
-    eps_prime = _certified_thickening(factor_sets)
-    g_counts = [len(f.G) for f in new_factors]
-    e_counts = [len(f.E) for f in new_factors]
-    count_G = 1
-    for c in g_counts:
-        count_G *= c
-    count_F = []
-    for k in range(w.m):
-        fk = e_counts[k]
-        for i, c in enumerate(g_counts):
-            if i != k:
-                fk *= c
-        count_F.append(fk)
-    count_E = sum(count_F)
-    if not Fraction(count_E) > w.Delta * count_G:
-        raise VerificationFailed("count inequality lost in trimming")
-    return SweepOutWitness(Delta=w.Delta, delta=w.delta, epsilon=w.epsilon,
-                           m=w.m, indices=list(w.indices), factors=new_factors,
-                           eps_prime=eps_prime, count_G=count_G,
-                           count_E=count_E, count_F=count_F, separation=sep)
+    return _assemble(w.Delta, w.delta, w.epsilon, w.indices, new_factors)
 
 
 @dataclass

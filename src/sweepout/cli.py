@@ -26,7 +26,7 @@ from .errors import (CapExceeded, ConfigError, GrowthExhausted,
                      LambdaNotFound, PrecisionExhausted, SequenceExhausted,
                      VerificationFailed)
 from .exactreal import (GeneratorBasis, Point, fraction_str, parse_fraction)
-from .lambda_search import find_lambda, lambda_profile
+from .lambda_search import _find_lambda_and_profile
 from .lattice import decompose, interval_count_ratio
 from .measures import MeasureSequence, chebyshev_check, check_condition_one
 
@@ -159,8 +159,7 @@ def _cmd_find_lambda(args, cfg, basis, seq, params, out):
     eps = _frac_param(params, "epsilon", required=True)
     delta = _frac_param(params, "delta", required=True)
     floor_scale = int(_param(params, "floor_scale", 10**4))
-    res = find_lambda(mu, eps, delta, floor_scale=floor_scale)
-    profile = lambda_profile(mu, eps, delta, floor_scale=floor_scale)
+    res, profile = _find_lambda_and_profile(mu, eps, delta, floor_scale=floor_scale)
     if args.format == "csv" or _param(params, "emit_profile", True):
         _write_csv(out / "lambda_profile.csv", profile.csv_rows())
     return {"measure_index": idx, "lambda": res.to_json(),

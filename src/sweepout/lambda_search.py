@@ -350,6 +350,20 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
     probed per attempt. Whenever an attempt yields nothing the floor is
     lowered and the search repeats.
     """
+    return _find_lambda_and_profile(mu, eps, delta, constraints, floor_scale,
+                                    piece_cap, max_retries, candidate_cap)[0]
+
+
+def _find_lambda_and_profile(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
+                             constraints: WindowConstraints | None = None,
+                             floor_scale: int = DEFAULT_FLOOR_SCALE,
+                             piece_cap: int = DEFAULT_PIECE_CAP,
+                             max_retries: int = 3, candidate_cap: int = 64
+                             ) -> tuple[LambdaResult, LambdaProfile]:
+    """find_lambda, together with the profile built at the requested
+    floor_scale, for the one caller that writes it out. The result does
+    not hold the profile, so callers that keep results do not keep whole
+    arrangements alive."""
     eps = parse_fraction(eps)
     delta = parse_fraction(delta)
     threshold = (1 - 3 * eps) * mu.total_mass
@@ -357,6 +371,8 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
     scale = floor_scale
     for attempt in range(max_retries + 1):
         profile = lambda_profile(mu, eps, delta, floor_scale=scale, piece_cap=piece_cap)
+        if attempt == 0:
+            requested = profile
         qualifying = [pc for pc in reversed(profile.pieces) if pc[2] > threshold]
         qualifying.sort(key=lambda pc: pc[2], reverse=True)  # stable: keeps lam descending
         for lo, hi, val in qualifying[:candidate_cap]:
@@ -376,7 +392,8 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
             else:
                 U = V = None
             return LambdaResult(lam=lam, value=direct, piece=(lo, hi, val),
-                                threshold=threshold, U=U, V=V, constraint_details=detail)
+                                threshold=threshold, U=U, V=V,
+                                constraint_details=detail), requested
         # nothing qualified (or constraints rejected everything): lower the
         # floor, which only adds smaller-lam pieces, and scan again
         scale *= 16

@@ -160,6 +160,27 @@ def test_build_witness_validation(geom_seq):
         build_witness(geom_seq, F(100), F(1, 2), m_cap=16)
 
 
+def test_product_counts_match_per_factor_products():
+    from sweepout.builder import _product_counts
+
+    rng = random.Random(11)
+    for _ in range(2000):
+        sizes = [(rng.randint(1, 12), rng.randint(1, 40))
+                 for _ in range(rng.randint(1, 9))]
+        factors = [EGPair(0, F(1, 6), F(1), 0, (None,) * e, (None,) * g)
+                   for e, g in sizes]
+        count_G = 1
+        for _, g in sizes:
+            count_G *= g
+        count_F = []
+        for k, (e, _) in enumerate(sizes):
+            for i, (_, g) in enumerate(sizes):
+                if i != k:
+                    e *= g
+            count_F.append(e)
+        assert _product_counts(factors) == (count_G, count_F)
+
+
 def test_witness_json_roundtrip(geom_seq, surd_basis):
     w = build_witness(geom_seq, F(1, 12), F(1, 2))
     blob = json.dumps(w.to_json(), sort_keys=True)

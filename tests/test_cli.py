@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -193,3 +194,91 @@ def test_byte_identical_reports(config):
         a = (config / "outA" / name).read_bytes()
         b = (config / "outB" / name).read_bytes()
         assert a == b, name
+
+
+# sha256 of the artifacts the CLI writes on the write_config config: a
+# refactor of the pipeline must not change a byte of them (report-*.json
+# embed the package version and are left out)
+GOLDEN_DIGESTS = {
+    "out/lambda_profile.csv":
+        "4b5ae8c2b15198caee6f7f7f6de8e32631411adbc273b7d11ec0a35d1ff3f7b7",
+    "out/eg_pair.json":
+        "d5591c29e8a782e4126eaa1455fe5bb2489ab24753de6c7cbcba713ce5d2b04f",
+    "out/witness.json":
+        "e6a4fe83c5a9444284717a882970c9df066db04c478453c63f3a0be0f792f5e6",
+    "out/witness_trimmed.json":
+        "b1257960bbfbbc8c6d6fcdcac06c62a925474e9579f396744dc094519a497bca",
+    "verify-factor-exact/verification.json":
+        "eaa48049baf831bbc35bc872e10e814fcfbe8cc357c537118abc9da3007f8235",
+    "verify-explicit-brute-force/verification.json":
+        "e19799a3037e001db11a8d2923112e7f209949b091bca4459e034e78b945c7aa",
+    "verify-sampled/verification.json":
+        "e2f92a5575384535b2224d0f4c9b8d769ffe77b2e3d74602d3b56572d894ccd9",
+}
+
+
+def test_golden_artifact_digests(tmp_path):
+    write_config(tmp_path)
+    for command in ("find-lambda", "build-eg", "build-witness"):
+        assert run(tmp_path, command) == 0, command
+    for mode, witness in (("factor-exact", "witness.json"),
+                          ("explicit-brute-force", "witness_trimmed.json"),
+                          ("sampled", "witness.json")):
+        write_config(tmp_path, params={"mode": mode})
+        assert run(tmp_path, "verify", out=f"verify-{mode}",
+                   extra=("--witness", str(tmp_path / "out" / witness))) == 0
+    for name, digest in GOLDEN_DIGESTS.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, name
+
+
+def _drop_last_index(blob):
+    blob["indices"].pop()
+
+
+def _shift_first_index(blob):
+    blob["indices"][0] += 1
+
+
+def _empty_E(blob):
+    blob["factors"][-1]["E"] = []
+
+
+def _empty_G(blob):
+    blob["factors"][-1]["G"] = []
+
+
+def _m_too_large(blob):
+    blob["m"] += 1
+
+
+@pytest.mark.parametrize("tamper", [_drop_last_index, _shift_first_index,
+                                    _empty_E, _empty_G, _m_too_large])
+def test_malformed_witness_exit_3(config, capsys, tamper):
+    assert run(config, "build-witness") == 0
+    blob = json.loads((config / "out" / "witness.json").read_text())
+    # a failing last factor must not pass unchecked when its index is gone
+    blob["factors"][-1]["G"][0] = blob["factors"][-1]["E"][0]
+    tamper(blob)
+    bad = config / "out" / "bad_witness.json"
+    bad.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert run(config, "verify", extra=("--witness", str(bad))) == 3
+    assert "bad witness file" in capsys.readouterr().err
+
+
+def test_find_lambda_builds_one_profile(config, monkeypatch):
+    from sweepout import cli, lambda_search
+
+    calls = []
+    original = lambda_search.lambda_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lambda_search, "lambda_profile", counted)
+    # a name the CLI imported itself would bypass the patch above
+    monkeypatch.setattr(cli, "lambda_profile", counted, raising=False)
+    assert run(config, "find-lambda") == 0
+    assert len(calls) == 1
