@@ -7,7 +7,8 @@ table-producing commands also emit CSV. Reports carry no timestamps and
 all sampling is seeded, so identical configs yield byte-identical output.
 
 Exit codes: 0 success, 1 a certified inequality failed (the report names
-it), 2 a resource cap was hit, 3 configuration error.
+it), 2 a resource cap was hit, 3 configuration error, 4 internal error (a
+self-check of the program failed; the report has status internal-error).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (CapExceeded, ConfigError, GrowthExhausted,
                      LambdaNotFound, PrecisionExhausted, SequenceExhausted,
                      VerificationFailed)
 from .exactreal import (GeneratorBasis, Point, fraction_str, parse_fraction)
-from .lambda_search import _find_lambda_and_profile
+from .lambda_search import find_lambda, lambda_profile
 from .lattice import decompose, interval_count_ratio
 from .measures import MeasureSequence, chebyshev_check, check_condition_one
 
@@ -159,7 +160,8 @@ def _cmd_find_lambda(args, cfg, basis, seq, params, out):
     eps = _frac_param(params, "epsilon", required=True)
     delta = _frac_param(params, "delta", required=True)
     floor_scale = int(_param(params, "floor_scale", 10**4))
-    res, profile = _find_lambda_and_profile(mu, eps, delta, floor_scale=floor_scale)
+    res = find_lambda(mu, eps, delta, floor_scale=floor_scale)
+    profile = lambda_profile(mu, eps, delta, floor_scale=floor_scale)
     if args.format == "csv" or _param(params, "emit_profile", True):
         _write_csv(out / "lambda_profile.csv", profile.csv_rows())
     return {"measure_index": idx, "lambda": res.to_json(),
@@ -220,6 +222,10 @@ def _cmd_verify(args, cfg, basis, seq, params, out):
         raise ConfigError(f"witness file not found: {path}")
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad witness file: {exc}")
+    for idx in w.indices:
+        if not 0 <= idx < len(seq):
+            raise ConfigError(f"bad witness file: index {idx} is outside the "
+                              f"{len(seq)} measures of the config")
     mode = _param(params, "mode", "factor-exact")
     if mode not in ("factor-exact", "explicit-brute-force", "sampled"):
         raise ConfigError(f"unknown verify mode: {mode}")
@@ -326,6 +332,16 @@ def run(args) -> int:
         code = 2
     except (ValueError, KeyError, IndexError) as exc:
         raise ConfigError(str(exc))
+    except ConfigError:
+        raise
+    except Exception as exc:
+        # a fault of the program itself, such as a failed self-check
+        import traceback  # only on this path: it pulls in tokenize
+
+        results = {"error": f"{type(exc).__name__}: {exc}",
+                   "traceback": traceback.format_exc().splitlines()}
+        status = "internal-error"
+        code = 4
     _write_json(out / f"report-{command}.json",
                 _report(command, args, cfg, results, status))
     if code:

@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: verification-style failures
 (an expected inequality could not be established) exit 1, resource caps
-exit 2, configuration problems exit 3.
+exit 2, configuration problems exit 3. Any other exception is a fault of
+the program and exits 4.
 """
 
 

@@ -7,10 +7,22 @@ For a measure with atoms x_i, the function
 is a step function of lam whose pieces are intersections of the atom
 windows (x_i/(k+1-eps), x_i/(k+eps)), k = 0, 1, 2, ...  Averaging over
 lam in (0, r], r = min(eps*x_1 / (2(1-eps)), delta), the mean value
-exceeds (1 - 3 eps) * |mu|, so some piece must too. lambda_profile builds
-the exact arrangement of that step function down to a configurable floor;
-find_lambda picks a rational lam from a best piece deterministically and
-re-checks it by direct evaluation.
+exceeds (1 - 3 eps) * |mu|, so some piece must too.
+
+One top-down sweep walks that step function from r to a floor: a heapq
+merge of the atoms' window streams, in exact order, yields its pieces
+(lo, hi, value) by decreasing lam. find_lambda probes the pieces of full
+mass |mu| as the sweep meets them. No piece exceeds |mu|, so these come
+first in its order (value, then lam, descending) and the search usually
+stops near r; only a sweep that reaches the floor ranks the other
+qualifying pieces. The chosen lam is a rational strictly inside its
+piece, re-checked by direct evaluation.
+
+lambda_profile describes the step function on (r/floor_scale, r]. Its
+arrangement (pieces) is built from the same sweep when first read. Its
+integral, which the averaging bound needs, is certified per atom as
+sum_i m_i |W_i cap (floor, r]|, W_i the windows of atom i, without
+building any piece.
 
 frac_window_sets materializes, for a fixed rational lam, the sets
 
@@ -23,8 +35,11 @@ are dropped; they carry no measure and keep every set open).
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CapExceeded, LambdaNotFound, PrecisionExhausted
 from .exactreal import (IntervalSet, Point, compare, decimal_enclosure_str,
@@ -66,81 +81,186 @@ def window_value(mu: DiscreteMeasure, eps: Fraction, lam: Fraction) -> Fraction:
     return sum((mu.masses[i] for i in active_atoms(mu, eps, lam)), Fraction(0))
 
 
-@dataclass
-class LambdaProfile:
-    """Arrangement of the step function on (lam_floor, r].
+def _check_params(eps: Fraction, delta: Fraction) -> None:
+    if not 0 < eps < Fraction(1, 3):
+        raise ValueError("eps must lie in (0, 1/3)")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
 
-    pieces are consecutive (lo, hi, value) with exact Point endpoints;
-    they partition (lam_floor, r]. Pieces below lam_floor are discarded
-    (the atom windows accumulate to 0 there), so the stored integral is a
-    certified lower bound for the full integral over (0, r].
+
+def _window_range(t: Point, eps: Fraction, r: Point, lam_floor: Point) -> tuple[int, int]:
+    """(k0, k_end): the windows k of atom t that meet (lam_floor, r] are
+    k0 <= k < k_end. Only window k0 can reach above r, and only window
+    k_end - 1 below the floor."""
+    tf = float(t)  # caches t's approximation, which every window end inherits
+    k0 = max(0, int(tf / float(r) - float(1 - eps)) - 2)
+    # k0 is the smallest k with lower end t/(k+1-eps) below r
+    while compare(r * (k0 + 1 - eps), t) <= 0:
+        k0 += 1
+    while k0 > 0 and compare(r * (k0 - eps), t) > 0:
+        k0 -= 1
+    # k_end is the smallest k with upper end t/(k+eps) at or below the floor
+    k_end = max(k0, int(tf / float(lam_floor) - float(eps)) - 2)
+    while compare(lam_floor * (k_end + eps), t) < 0:
+        k_end += 1
+    while k_end > k0 and compare(lam_floor * (k_end - 1 + eps), t) >= 0:
+        k_end -= 1
+    return k0, k_end
+
+
+def _window(t: Point, eps: Fraction, k: int, k0: int, k_end: int,
+            r: Point, lam_floor: Point) -> tuple[Point, Point]:
+    """Window k of atom t, clipped to (lam_floor, r]."""
+    # 1/(k+eps) = d/(k d + n) and 1/(k+1-eps) = d/((k+1) d - n) with
+    # eps = n/d reduced; both right sides are already in lowest terms
+    n, d = eps.numerator, eps.denominator
+    hi = t * Fraction(d, k * d + n)
+    lo = t * Fraction(d, (k + 1) * d - n)
+    if k == k0 and compare(hi, r) > 0:
+        hi = r
+    if k == k_end - 1 and compare(lo, lam_floor) < 0:
+        lo = lam_floor
+    return lo, hi
+
+
+class _End:
+    """A window end in the sweep: the point, the change of the step value
+    there in units of 1/D, and the heap order, larger points first,
+    decided exactly (from the float enclosures unless they overlap; equal
+    points are the only ones neither before nor after each other)."""
+
+    __slots__ = ("pt", "dm", "mid", "rad")
+
+    def __init__(self, pt: Point, dm: int):
+        self.pt = pt
+        self.dm = dm
+        self.mid, self.rad = pt.approx()
+
+    def __lt__(self, other):
+        # compare()'s float test, inlined: calling compare() here, which
+        # first compares the bases and the coefficient tuples, made floor-200
+        # sweeps 20-30% slower (x86-64, Python 3.11)
+        d = self.mid - other.mid
+        if abs(d) > 4.0 * (self.rad + other.rad) + 1e-300:
+            return d > 0
+        return compare(self.pt, other.pt) > 0
+
+
+def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
+           windows, piece_cap: int, values: dict):
+    """The pieces (lo, hi, value) of the step function on (lam_floor, r],
+    from r down. Equal window ends are merged; of equal points the one with
+    the smallest float midpoint represents them (as an ascending sort
+    would keep it). values collects the distinct values yielded. Raises
+    CapExceeded once more than piece_cap windows have been entered."""
+    denom = math.lcm(*(m.denominator for m in mu.masses))
+    budget = [piece_cap]
+
+    def ends(t, m, k0, k_end):
+        m = m.numerator * (denom // m.denominator)
+        for k in range(k0, k_end):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise CapExceeded(f"profile needs more than {piece_cap} pieces")
+            lo, hi = _window(t, eps, k, k0, k_end, r, lam_floor)
+            yield _End(hi, m)
+            yield _End(lo, -m)
+
+    def piece(lo, hi, value):
+        v = values.get(value)
+        if v is None:
+            v = values[value] = Fraction(value, denom)
+        return lo.pt, hi.pt, v
+
+    streams = [ends(t, m, k0, k_end)
+               for t, m, (k0, k_end) in zip(mu.atoms, mu.masses, windows)]
+    above = None
+    value = 0
+    rep = _End(r, 0)
+    for end in heapq.merge(*streams, [_End(lam_floor, 0)]):
+        if not rep < end:  # end <= rep as the ends descend: equal points
+            if end.mid < rep.mid:
+                end.dm += rep.dm
+                rep = end
+            else:
+                rep.dm += end.dm
+            continue
+        if above is not None:
+            yield piece(rep, above, value)
+        value += rep.dm
+        above, rep = rep, end
+    if above is not None:  # else lam_floor == r: no pieces
+        yield piece(rep, above, value)
+
+
+@dataclass(eq=False)
+class LambdaProfile:
+    """The step function on (lam_floor, r].
+
+    pieces, its arrangement, is built on first read: consecutive
+    (lo, hi, value) with exact Point endpoints that partition
+    (lam_floor, r], ascending. Reading it raises CapExceeded when more
+    than piece_cap windows meet that range. Pieces below lam_floor are
+    discarded (the atom windows accumulate to 0 there), so the integral
+    is a certified lower bound for the full integral over (0, r].
     """
 
+    mu: DiscreteMeasure
     eps: Fraction
-    total_mass: Fraction
     r: Point
     lam_floor: Point
-    pieces: list[tuple[Point, Point, Fraction]]
+    windows: tuple[tuple[int, int], ...]
+    piece_cap: int = DEFAULT_PIECE_CAP
+
+    @property
+    def total_mass(self) -> Fraction:
+        return self.mu.total_mass
+
+    @cached_property
+    def pieces(self) -> list[tuple[Point, Point, Fraction]]:
+        if sum(k_end - k0 for k0, k_end in self.windows) > self.piece_cap:
+            raise CapExceeded(f"profile needs more than {self.piece_cap} pieces")
+        pieces = list(_sweep(self.mu, self.eps, self.r, self.lam_floor,
+                             self.windows, self.piece_cap, {}))
+        pieces.reverse()
+        return pieces
 
     def max_value(self) -> Fraction:
         return max((v for _, _, v in self.pieces), default=Fraction(0))
 
-    def integral_enclosure(self, bits: int = 128) -> tuple[Fraction, Fraction]:
-        """Certified dyadic enclosure of the stored integral.
+    def integral_bounds(self, bits: int = 128) -> tuple[Fraction, Fraction]:
+        """Certified enclosure of the integral, sum_i m_i |W_i|, where W_i
+        is atom i's windows inside (lam_floor, r].
 
-        Endpoint enclosures are rounded outward to denominators 2^bits
-        before summing, so the accumulated fractions never blow up.
-        """
-        scale = 1 << bits
-        lo_sum = Fraction(0)
-        hi_sum = Fraction(0)
-        for plo, phi, v in self.pieces:
-            if not v:
+        The two windows clipped at r and at the floor are measured as exact
+        Points. Window k has length t c_k with c_k = d(d-2n)/((kd+n)((k+1)d-n))
+        for eps = n/d; the sum of c_k over the windows in between is taken
+        in integer multiples of 2^-bits, rounded down and up, and multiplied
+        by the enclosure of t."""
+        n, d = self.eps.numerator, self.eps.denominator
+        num = (d * (d - 2 * n)) << bits
+        lo_sum = hi_sum = Fraction(0)
+        for t, m, (k0, k_end) in zip(self.mu.atoms, self.mu.masses, self.windows):
+            if k_end <= k0:
                 continue
-            llo, lhi = plo.enclosure(bits)
-            hlo, hhi = phi.enclosure(bits)
-            length_lo = Fraction((hlo - lhi).numerator * scale // (hlo - lhi).denominator, scale)
-            length_hi = Fraction(-((llo - hhi).numerator * scale // (llo - hhi).denominator), scale)
-            if length_lo < 0:
-                length_lo = Fraction(0)
-            lo_sum += length_lo * v
-            hi_sum += length_hi * v
+            lo, hi = _window(t, self.eps, k0, k0, k_end, self.r, self.lam_floor)
+            ends = hi - lo
+            if k_end - 1 > k0:
+                lo, hi = _window(t, self.eps, k_end - 1, k0, k_end, self.r, self.lam_floor)
+                ends = ends + (hi - lo)
+            inner = range(k0 + 1, k_end - 1)
+            s = sum(num // ((k * d + n) * ((k + 1) * d - n)) for k in inner)
+            e_lo, e_hi = ends.enclosure(bits)
+            t_lo, t_hi = t.enclosure(bits)
+            lo_sum += m * (e_lo + t_lo * Fraction(s, 1 << bits))
+            hi_sum += m * (e_hi + t_hi * Fraction(s + len(inner), 1 << bits))
         return lo_sum, hi_sum
-
-    def integral_float_enclosure(self) -> tuple[Fraction, Fraction]:
-        """Cheap certified enclosure from the cached float approximations."""
-        import math as _math
-
-        mids = []
-        rads = []
-        for plo, phi, v in self.pieces:
-            if not v:
-                continue
-            lm, lr = plo.approx()
-            hm, hr = phi.approx()
-            vf = float(v)
-            mid = (hm - lm) * vf
-            rad = ((hr + lr + (abs(hm) + abs(lm)) * 2.3e-16) * vf
-                   + abs(mid) * 4.6e-16) * 1.01 + 1e-300
-            mids.append(mid)
-            rads.append(rad)
-        s = _math.fsum(mids)
-        w = _math.fsum(rads)
-        slop = (abs(s) + w) * 1e-15 + 1e-290
-        return Fraction(s) - Fraction(w) - Fraction(slop), \
-            Fraction(s) + Fraction(w) + Fraction(slop)
 
     def integral_at_least(self, threshold: Point, bits: int = 128) -> bool:
         """Certified test  integral >= threshold  (threshold a Point)."""
-        ilo, ihi = self.integral_float_enclosure()
-        tm, tr = threshold.approx()
-        if ilo >= Fraction(tm) + Fraction(tr):
-            return True
-        if ihi < Fraction(tm) - Fraction(tr):
-            return False
         cap = threshold.basis.precision_cap
         while True:
-            ilo, ihi = self.integral_enclosure(bits)
+            ilo, ihi = self.integral_bounds(bits)
             tlo, thi = threshold.enclosure(bits)
             if ilo >= thi:
                 return True
@@ -156,111 +276,22 @@ class LambdaProfile:
             yield (repr(float(lo)), repr(float(hi)), fraction_str(v))
 
 
-def _sort_events(events: list) -> None:
-    """Sort (Point, delta) events exactly, fast.
-
-    A C-speed sort on the certified float midpoints gives the global
-    order wherever approximation intervals are disjoint; runs of events
-    with overlapping intervals (near or exact ties) are then re-sorted
-    with exact comparisons. Any event outside a run is certifiably
-    ordered against every event inside it, so the result is exact."""
-    import functools
-
-    events.sort(key=lambda ev: ev[0].approx()[0])
-    n = len(events)
-    i = 0
-    out = []
-    while i < n:
-        m, r = events[i][0].approx()
-        upper = m + r
-        j = i + 1
-        while j < n:
-            mj, rj = events[j][0].approx()
-            if mj - rj > upper:
-                break
-            if mj + rj > upper:
-                upper = mj + rj
-            j += 1
-        if j - i > 1:
-            chunk = sorted(events[i:j],
-                           key=functools.cmp_to_key(lambda a, b: compare(a[0], b[0])))
-            out.extend(chunk)
-        else:
-            out.append(events[i])
-        i = j
-    events[:] = out
+def _windows(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point):
+    return tuple(_window_range(t, eps, r, lam_floor) for t in mu.atoms)
 
 
 def lambda_profile(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
                    floor_scale: int = DEFAULT_FLOOR_SCALE,
                    piece_cap: int = DEFAULT_PIECE_CAP) -> LambdaProfile:
-    """Exact arrangement of the step function on (r/floor_scale, r]."""
+    """The step function on (r/floor_scale, r]; its arrangement is built
+    when its pieces are first read."""
     eps = parse_fraction(eps)
     delta = parse_fraction(delta)
-    if not 0 < eps < Fraction(1, 3):
-        raise ValueError("eps must lie in (0, 1/3)")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    basis = mu.basis
+    _check_params(eps, delta)
     r = cutoff_r(mu, eps, delta)
     lam_floor = r * Fraction(1, floor_scale)
-
-    events: list[tuple[Point, Fraction]] = [(lam_floor, Fraction(0)),
-                                            (r, Fraction(0))]
-    fl_mid, fl_rad = lam_floor.approx()
-    for t, m in zip(mu.atoms, mu.masses):
-        t_mid, t_rad = t.approx()
-        # smallest k with window lower end t/(k+1-eps) below r
-        tf, rf = float(t), float(r)
-        k = max(0, int(tf / rf - float(1 - eps)) - 2)
-        while compare(r * (k + 1 - eps), t) <= 0:
-            k += 1
-        while k > 0 and compare(r * (k - eps), t) > 0:
-            k -= 1
-        # windows with k below k_safe sit certifiably above the floor,
-        # and only the first window can poke above r, so the bulk of the
-        # loop emits events with no comparisons at all
-        k_safe = int((t_mid - t_rad) / (fl_mid + fl_rad) * 0.999999) - 2
-        # 1/(k+eps) = d/(k d + n) and 1/(k+1-eps) = d/((k+1) d - n) with
-        # eps = n/d reduced; both right sides are already in lowest terms
-        n_e, d_e = eps.numerator, eps.denominator
-        atom_events: list[tuple[Point, Fraction]] = []
-        first = True
-        while True:
-            hi = t * Fraction(d_e, k * d_e + n_e)
-            interior = k < k_safe and not first
-            if not interior and compare(hi, lam_floor) <= 0:
-                break
-            lo = t * Fraction(d_e, (k + 1) * d_e - n_e)
-            if interior:
-                lo_c, hi_c = lo, hi
-            else:
-                lo_c = lo if compare(lo, lam_floor) >= 0 else lam_floor
-                hi_c = hi if compare(hi, r) <= 0 else r
-            if interior or compare(lo_c, hi_c) < 0:
-                atom_events.append((hi_c, -m))
-                atom_events.append((lo_c, m))
-                if len(events) + len(atom_events) > 2 * piece_cap + 2:
-                    raise CapExceeded(f"profile needs more than {piece_cap} pieces")
-            first = False
-            k += 1
-        atom_events.reverse()  # ascending runs let the sort merge cheaply
-        events.extend(atom_events)
-    _sort_events(events)
-    # merge events at exactly equal points, then sweep
-    merged: list[tuple[Point, Fraction]] = []
-    for pt, dm in events:
-        if merged and merged[-1][0].coeffs == pt.coeffs:
-            merged[-1] = (merged[-1][0], merged[-1][1] + dm)
-        else:
-            merged.append((pt, dm))
-    pieces = []
-    running = Fraction(0)
-    for (b, dm), (nxt, _) in zip(merged, merged[1:]):
-        running += dm
-        pieces.append((b, nxt, running))
-    return LambdaProfile(eps=eps, total_mass=mu.total_mass, r=r,
-                         lam_floor=lam_floor, pieces=pieces)
+    return LambdaProfile(mu=mu, eps=eps, r=r, lam_floor=lam_floor,
+                         windows=_windows(mu, eps, r, lam_floor), piece_cap=piece_cap)
 
 
 def _rational_inside(lo: Point, hi: Point) -> Fraction:
@@ -344,65 +375,83 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
 
     Qualifying pieces are scanned by decreasing value, then decreasing
     lam (the piece choice therefore never depends on the floor). The
-    returned lam is a rational strictly inside its piece; its value is
-    re-derived by direct evaluation before returning. If constraints are
-    given they are checked at lam; at most candidate_cap pieces are
-    probed per attempt. Whenever an attempt yields nothing the floor is
-    lowered and the search repeats.
+    top-down sweep meets the full-mass pieces first and in that order, so
+    they are probed as they come; the other qualifying pieces are ranked
+    only once the sweep reaches the floor. The returned lam is a rational
+    strictly inside its piece; its value is re-derived by direct
+    evaluation before returning. If constraints are given they are
+    checked at lam; at most candidate_cap pieces are probed per attempt.
+    Whenever an attempt yields nothing the floor is lowered and the search
+    repeats. Each attempt enters at most piece_cap windows.
     """
-    return _find_lambda_and_profile(mu, eps, delta, constraints, floor_scale,
-                                    piece_cap, max_retries, candidate_cap)[0]
-
-
-def _find_lambda_and_profile(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
-                             constraints: WindowConstraints | None = None,
-                             floor_scale: int = DEFAULT_FLOOR_SCALE,
-                             piece_cap: int = DEFAULT_PIECE_CAP,
-                             max_retries: int = 3, candidate_cap: int = 64
-                             ) -> tuple[LambdaResult, LambdaProfile]:
-    """find_lambda, together with the profile built at the requested
-    floor_scale, for the one caller that writes it out. The result does
-    not hold the profile, so callers that keep results do not keep whole
-    arrangements alive."""
     eps = parse_fraction(eps)
     delta = parse_fraction(delta)
-    threshold = (1 - 3 * eps) * mu.total_mass
+    _check_params(eps, delta)
+    total = mu.total_mass
+    threshold = (1 - 3 * eps) * total
+    r = cutoff_r(mu, eps, delta)
     failures = []
+
+    def probe(lo, hi, val):
+        lam = _rational_inside(lo, hi)
+        direct = window_value(mu, eps, lam)
+        if direct != val:
+            raise AssertionError(
+                f"profile value {val} disagrees with direct evaluation {direct} at {lam}")
+        if direct <= threshold:
+            return None
+        detail = U = V = None
+        if constraints is not None:
+            ok, detail, U, V = constraints.check(lam, eps)
+            if not ok:
+                failures.append(detail)
+                return None
+        return LambdaResult(lam=lam, value=direct, piece=(lo, hi, val),
+                            threshold=threshold, U=U, V=V,
+                            constraint_details=detail)
+
     scale = floor_scale
-    for attempt in range(max_retries + 1):
-        profile = lambda_profile(mu, eps, delta, floor_scale=scale, piece_cap=piece_cap)
-        if attempt == 0:
-            requested = profile
-        qualifying = [pc for pc in reversed(profile.pieces) if pc[2] > threshold]
-        qualifying.sort(key=lambda pc: pc[2], reverse=True)  # stable: keeps lam descending
-        for lo, hi, val in qualifying[:candidate_cap]:
-            lam = _rational_inside(lo, hi)
-            direct = window_value(mu, eps, lam)
-            if direct != val:
-                raise AssertionError(
-                    f"profile value {val} disagrees with direct evaluation {direct} at {lam}")
-            if direct <= threshold:
-                continue
-            detail = None
-            if constraints is not None:
-                ok, detail, U, V = constraints.check(lam, eps)
-                if not ok:
-                    failures.append(detail)
+    for _ in range(max_retries + 1):
+        lam_floor = r * Fraction(1, scale)
+        values = {}
+        sweep = _sweep(mu, eps, r, lam_floor, _windows(mu, eps, r, lam_floor),
+                       piece_cap, values)
+        pieces = probes = 0
+        ranked = {}  # value -> its first qualifying pieces, lam descending
+        for lo, hi, val in sweep:
+            pieces += 1
+            if val > threshold:
+                if val != total:
+                    group = ranked.get(val)
+                    if group is None:
+                        group = ranked[val] = []
+                    if len(group) < candidate_cap:
+                        group.append((lo, hi, val))
                     continue
-            else:
-                U = V = None
-            return LambdaResult(lam=lam, value=direct, piece=(lo, hi, val),
-                                threshold=threshold, U=U, V=V,
-                                constraint_details=detail), requested
+                found = probe(lo, hi, val)
+                if found:
+                    return found
+                probes += 1
+                if probes == candidate_cap:
+                    break
+        else:
+            rest = [pc for v in sorted(ranked, reverse=True) for pc in ranked[v]]
+            for lo, hi, val in rest[:candidate_cap - probes]:
+                found = probe(lo, hi, val)
+                if found:
+                    return found
         # nothing qualified (or constraints rejected everything): lower the
         # floor, which only adds smaller-lam pieces, and scan again
         scale *= 16
+    # the diagnostics describe the last attempt's whole arrangement; if it
+    # stopped at candidate_cap, its sweep goes on to the floor
+    pieces += sum(1 for _ in sweep)
     raise LambdaNotFound(
         f"no piece with value above {threshold} satisfied the constraints",
         diagnostics={
             "threshold": fraction_str(threshold),
-            "max_piece_value": fraction_str(Fraction(profile.max_value())),
-            "pieces": len(profile.pieces),
+            "max_piece_value": fraction_str(max(values.values(), default=Fraction(0))),
+            "pieces": pieces,
             "constraint_failures": failures[:20],
         })
 

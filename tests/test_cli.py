@@ -86,6 +86,16 @@ def test_find_lambda_command(config):
     assert (config / "out" / "lambda_profile.csv").exists()
 
 
+def test_find_lambda_floor_at_r(tmp_path):
+    # floor_scale 1 puts the floor at r: the profile has no pieces, and the
+    # search lowers its floor until it finds lam
+    write_config(tmp_path, params={"floor_scale": 1})
+    assert run(tmp_path, "find-lambda") == 0
+    assert "lambda" in report(tmp_path, "find-lambda")["results"]
+    rows = (tmp_path / "out" / "lambda_profile.csv").read_text().splitlines()
+    assert rows == ["piece_lo,piece_hi,value"]
+
+
 def test_build_eg_command(config):
     assert run(config, "build-eg") == 0
     rep = report(config, "build-eg")
@@ -252,19 +262,25 @@ def _m_too_large(blob):
     blob["m"] += 1
 
 
+def _index_out_of_range(blob):
+    blob["indices"][-1] = blob["factors"][-1]["mu_index"] = 99
+    return "bad witness file: index 99 is outside the 12 measures of the config"
+
+
 @pytest.mark.parametrize("tamper", [_drop_last_index, _shift_first_index,
-                                    _empty_E, _empty_G, _m_too_large])
+                                    _empty_E, _empty_G, _m_too_large,
+                                    _index_out_of_range])
 def test_malformed_witness_exit_3(config, capsys, tamper):
     assert run(config, "build-witness") == 0
     blob = json.loads((config / "out" / "witness.json").read_text())
     # a failing last factor must not pass unchecked when its index is gone
     blob["factors"][-1]["G"][0] = blob["factors"][-1]["E"][0]
-    tamper(blob)
+    expected = tamper(blob) or "bad witness file"
     bad = config / "out" / "bad_witness.json"
     bad.write_text(json.dumps(blob))
     capsys.readouterr()
     assert run(config, "verify", extra=("--witness", str(bad))) == 3
-    assert "bad witness file" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
 
 
 def test_find_lambda_builds_one_profile(config, monkeypatch):
@@ -282,3 +298,22 @@ def test_find_lambda_builds_one_profile(config, monkeypatch):
     monkeypatch.setattr(cli, "lambda_profile", counted, raising=False)
     assert run(config, "find-lambda") == 0
     assert len(calls) == 1
+
+
+def test_internal_error_exit_4(config, capsys, monkeypatch):
+    # a failed self-check is a fault of the program: a report with status
+    # internal-error and one line on stderr, not a traceback
+    from sweepout import lambda_search
+
+    monkeypatch.setattr(lambda_search, "window_value",
+                        lambda mu, eps, lam: F(-1))
+    capsys.readouterr()
+    assert run(config, "find-lambda") == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("find-lambda: internal-error: AssertionError: ")
+    assert "disagrees with direct evaluation" in err
+    rep = report(config, "find-lambda")
+    assert rep["status"] == "internal-error"
+    assert rep["results"]["error"].startswith("AssertionError: ")
+    assert "in find_lambda" in "\n".join(rep["results"]["traceback"])

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import pytest
 
-from sweepout.errors import LambdaNotFound
-from sweepout.exactreal import GeneratorBasis, compare
-from sweepout.lambda_search import (WindowConstraints, cutoff_r, find_lambda,
+from sweepout.errors import CapExceeded, LambdaNotFound
+from sweepout.exactreal import GeneratorBasis, compare, fraction_str
+from sweepout.lambda_search import (LambdaResult, WindowConstraints,
+                                    _rational_inside, cutoff_r, find_lambda,
                                     frac_window_sets, lambda_profile,
                                     window_value)
 from sweepout.measures import DiscreteMeasure
@@ -136,3 +139,217 @@ def test_windows_disjoint_randomized(surd_basis, root3_over4):
             assert compare(hi, zero) <= 0
         for lo, hi in V:
             assert compare(abs(lo), root3_over4) <= 0
+
+
+# ---------------------------------------------------------------------------
+# oracle: the whole arrangement, one exact sort, then the ranked choice
+# ---------------------------------------------------------------------------
+
+def _oracle_pieces(mu, eps, r, lam_floor):
+    """Every window end in (lam_floor, r] as an event, sorted exactly (by
+    float midpoint first, so that of equal points the one with the smallest
+    midpoint leads), merged at equal points and summed from the bottom."""
+    n, d = eps.numerator, eps.denominator
+    events = [(lam_floor, F(0)), (r, F(0))]
+    for t, m in zip(mu.atoms, mu.masses):
+        t.approx()
+        k = 0
+        while True:
+            hi = t * F(d, k * d + n)
+            if compare(hi, lam_floor) <= 0:
+                break
+            lo = t * F(d, (k + 1) * d - n)
+            lo_c = lo if compare(lo, lam_floor) >= 0 else lam_floor
+            hi_c = hi if compare(hi, r) <= 0 else r
+            if compare(lo_c, hi_c) < 0:
+                events += [(hi_c, -m), (lo_c, m)]
+            k += 1
+    events.sort(key=lambda ev: ev[0].approx()[0])
+    events.sort(key=cmp_to_key(lambda a, b: compare(a[0], b[0])))
+    merged = []
+    for pt, dm in events:
+        if merged and merged[-1][0].coeffs == pt.coeffs:
+            merged[-1] = (merged[-1][0], merged[-1][1] + dm)
+        else:
+            merged.append((pt, dm))
+    pieces, running = [], F(0)
+    for (b, dm), (nxt, _) in zip(merged, merged[1:]):
+        running += dm
+        pieces.append((b, nxt, running))
+    return pieces, len(events) - len(merged)
+
+
+def _oracle_find(mu, eps, delta, constraints=None, floor_scale=200,
+                 max_retries=3, candidate_cap=64):
+    """find_lambda's choice from whole arrangements: qualifying pieces by
+    value, then lam, descending; the first candidate_cap of them probed."""
+    threshold = (1 - 3 * eps) * mu.total_mass
+    r = cutoff_r(mu, eps, delta)
+    failures = []
+    scale = floor_scale
+    for _ in range(max_retries + 1):
+        pieces, _ = _oracle_pieces(mu, eps, r, r * F(1, scale))
+        qualifying = [pc for pc in reversed(pieces) if pc[2] > threshold]
+        qualifying.sort(key=lambda pc: pc[2], reverse=True)
+        for lo, hi, val in qualifying[:candidate_cap]:
+            lam = _rational_inside(lo, hi)
+            assert window_value(mu, eps, lam) == val
+            detail = None
+            if constraints is not None:
+                ok, detail, _, _ = constraints.check(lam, eps)
+                if not ok:
+                    failures.append(detail)
+                    continue
+            return LambdaResult(lam=lam, value=val, piece=(lo, hi, val),
+                                threshold=threshold, U=None, V=None,
+                                constraint_details=detail).to_json()
+        scale *= 16
+    return {"threshold": fraction_str(threshold),
+            "max_piece_value": fraction_str(max((v for _, _, v in pieces), default=F(0))),
+            "pieces": len(pieces),
+            "constraint_failures": failures[:20]}
+
+
+def _oracle_cases(rat_basis, surd_basis):
+    """About 210 seeded searches: (mu, eps, delta, keyword arguments).
+    Atoms within a factor 3 of each other and floors up to 32 keep every
+    arrangement below a few thousand pieces."""
+    rng = random.Random(57)
+    cases = []
+
+    def rational_atom():
+        return rat_basis.rational(F(rng.randint(30, 90), 100))
+
+    def surd_atom():
+        a, b = F(rng.randint(10, 30), 100), F(rng.randint(0, 20), 100)
+        return surd_basis.point(["0", a, b] if rng.random() < 0.5 else ["0", b, a])
+
+    for i in range(200):
+        kind = i % 8
+        eps = F(rng.randint(3, 9), rng.choice((30, 31, 32)))
+        delta = F(rng.randint(1, 40), 40)
+        kw = {"floor_scale": rng.choice((4, 8, 16, 32))}
+        if kind in (0, 1):        # 1-3 atoms, rational or surd
+            atom = rational_atom if kind == 0 else surd_atom
+            atoms = [atom() for _ in range(rng.randint(1, 3))]
+            masses = [F(rng.randint(1, 9), 9) for _ in atoms]
+        elif kind == 2:           # {a, 2a, 3a}: at most 2/3 of the mass for eps >= 1/4
+            eps = F(rng.randint(8, 10), rng.choice((31, 32)))
+            a = rng.choice((rat_basis.rational(F(rng.randint(10, 30), 100)),
+                            surd_basis.point(["0", F(rng.randint(8, 20), 100), "0"])))
+            atoms, masses = [a, a * 2, a * 3], [F(1, 3)] * 3
+        elif kind == 3:           # x and 2x or 3x, or x with near-tie partners
+            a = rng.choice((rat_basis.rational(F(rng.randint(10, 30), 100)),
+                            surd_basis.point(["0", F(rng.randint(8, 20), 100), "0"])))
+            if rng.random() < 0.5:
+                atoms, masses = [a, a * rng.choice((2, 3))], [F(1, 2), F(1, 2)]
+            else:
+                # window ends closer than their float enclosures: only
+                # exact comparison orders them
+                tiny = F(1, 10**30)
+                atoms, masses = [a, a + tiny, a + 2 * tiny], [F(1, 2), F(1, 3), F(1, 6)]
+        else:                     # constraints on a one- or two-atom measure
+            atom = rational_atom if kind % 2 else surd_atom
+            atoms = [atom() for _ in range(rng.randint(1, 2))]
+            masses = [F(rng.randint(1, 4), 4) for _ in atoms]
+        mu = DiscreteMeasure(atoms, masses)
+        r = cutoff_r(mu, eps, delta)
+        # constraint checks build windows down to lam, and each retry goes
+        # 16 times deeper: constrained searches stay shallow
+        if kind in (4, 5):        # reject the first full-mass pieces
+            kw["constraints"] = WindowConstraints(x_1=r * F(rng.randint(3, 9), 10),
+                                                  x_l=mu.x_l)
+            kw.update(floor_scale=rng.choice((4, 8)), max_retries=1,
+                      candidate_cap=rng.choice((2, 3, 64)))
+        elif kind == 6:           # reject every piece above the floor
+            kw["floor_scale"] = rng.choice((2, 4))
+            kw["constraints"] = WindowConstraints(
+                x_1=r * F(1, kw["floor_scale"] * rng.choice((2, 20))), x_l=mu.x_l)
+            kw.update(max_retries=rng.choice((0, 1)), candidate_cap=rng.choice((2, 4)))
+        elif kind == 7:           # a small candidate_cap
+            kw["candidate_cap"] = rng.choice((1, 2))
+        cases.append((mu, eps, delta, kw))
+    # floor_scale 1: the floor is r itself, the first attempt has no pieces
+    cases += [(mu, eps, delta, {**kw, "floor_scale": 1}) for mu, eps, delta, kw in cases[:10]]
+    return cases
+
+
+def test_find_lambda_matches_ranked_oracle(rat_basis, surd_basis):
+    outcomes = Counter()
+    for mu, eps, delta, kw in _oracle_cases(rat_basis, surd_basis):
+        want = _oracle_find(mu, eps, delta, **kw)
+        try:
+            got = find_lambda(mu, eps, delta, **kw).to_json()
+        except LambdaNotFound as exc:
+            got = exc.diagnostics
+            outcomes["not found"] += 1
+        else:
+            outcomes["full mass" if F(got["value"]) == mu.total_mass else "partial"] += 1
+            if kw["floor_scale"] == 1:
+                outcomes["found below floor_scale 1"] += 1
+        assert got == want, (mu.atoms, eps, delta, kw)
+    # every branch of the search is exercised
+    assert outcomes["found below floor_scale 1"] >= 5, outcomes
+    assert min(outcomes[k] for k in ("full mass", "partial", "not found")) >= 10, outcomes
+
+
+def test_profile_pieces_match_oracle(rat_basis, surd_basis):
+    merges = 0
+    cases = _oracle_cases(rat_basis, surd_basis)
+    for mu, eps, delta, kw in cases[:80] + cases[200:]:
+        prof = lambda_profile(mu, eps, delta, floor_scale=kw["floor_scale"])
+        want, merged = _oracle_pieces(mu, eps, prof.r, prof.lam_floor)
+        merges += merged
+        got = prof.pieces
+        if kw["floor_scale"] == 1:
+            assert got == [] and prof.integral_bounds() == (0, 0)
+        assert [(lo.coeffs, hi.coeffs, v) for lo, hi, v in got] == \
+            [(lo.coeffs, hi.coeffs, v) for lo, hi, v in want]
+        # the CSV prints float midpoints: equal points keep the same representative
+        assert list(prof.csv_rows())[1:] == \
+            [(repr(float(lo)), repr(float(hi)), fraction_str(v)) for lo, hi, v in want]
+    assert merges > 0  # some window ends coincide exactly
+
+
+# ---------------------------------------------------------------------------
+# the per-atom integral and deep floors
+# ---------------------------------------------------------------------------
+
+def test_integral_bounds_contain_exact_sum(rat_basis):
+    rng = random.Random(73)
+    for _ in range(40):
+        atoms = sorted({F(rng.randint(30, 90), 100) for _ in range(rng.randint(1, 3))})
+        mu = DiscreteMeasure([rat_basis.rational(a) for a in atoms],
+                             [F(rng.randint(1, 9), 9) for _ in atoms])
+        eps = F(rng.randint(2, 9), 30)
+        prof = lambda_profile(mu, eps, F(rng.randint(1, 20), 40),
+                              floor_scale=rng.choice((2, 8, 32, 64)))
+        exact = sum(((hi.rational_value() - lo.rational_value()) * v
+                     for lo, hi, v in prof.pieces), F(0))
+        for bits in (8, 128):
+            lo, hi = prof.integral_bounds(bits)
+            assert lo <= exact <= hi
+        tiny = F(1, 2**200)  # below the 128-bit rounding: forces escalation
+        assert prof.integral_at_least(rat_basis.rational(exact - tiny))
+        assert not prof.integral_at_least(rat_basis.rational(exact + tiny))
+
+
+def test_integral_bounds_surd(mu_pair):
+    prof = lambda_profile(mu_pair, F(1, 6), F(1, 2), floor_scale=64)
+    lo_sum = hi_sum = F(0)
+    for plo, phi, v in prof.pieces:
+        length_lo, length_hi = (phi - plo).enclosure(256)
+        lo_sum += v * length_lo
+        hi_sum += v * length_hi
+    lo, hi = prof.integral_bounds(128)
+    assert lo <= hi_sum and lo_sum <= hi
+    assert hi - lo < F(1, 2**100)
+
+
+def test_deep_floor(mu_pair):
+    eps, delta = F(1, 6), F(1, 2)
+    shallow = find_lambda(mu_pair, eps, delta, floor_scale=200)
+    deep = find_lambda(mu_pair, eps, delta, floor_scale=10**5)
+    assert deep.to_json() == shallow.to_json()
+    with pytest.raises(CapExceeded):
+        lambda_profile(mu_pair, eps, delta, floor_scale=10**5).pieces
