@@ -426,6 +426,19 @@ def floor_point(x: Point) -> int:
     """Exact floor of a Point value."""
     if x.is_rational():
         return math.floor(x.rational_value())
+    # float filter with the margin of sign() and compare(); below 2^52
+    # both differences are exact in doubles
+    m, r = x.approx()
+    if abs(m) < 2.0**52:
+        k = math.floor(m)
+        margin = 4.0 * r + 1e-300
+        if m - k > margin and k + 1 - m > margin:
+            return k
+    return _floor_by_enclosure(x)
+
+
+def _floor_by_enclosure(x: Point) -> int:
+    """floor_point by adaptive enclosure refinement, for an irrational x."""
     cap = x.basis.precision_cap
     bits = 64
     while True:

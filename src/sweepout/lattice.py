@@ -15,7 +15,12 @@ Counting is range counting with exact resolution near edges: for each
 prefix of the integer tuple, the kernel classifies the last coordinate in
 blocks from float data, and only tuples whose value lands within a
 rigorous guard of an interval edge are re-decided with exact arithmetic,
-so every reported count is exact.
+so every reported count is exact. The float data come from cached
+doubles: each y_i and its radius from Y[i].approx(), each edge from its
+approx() scaled by p, and the guard covers those radii, the error of
+float(p) and all rounding. The shift closure's interval test runs
+through the same filter; only sums within the guard of -x_l or x_l are
+built as Points and compared exactly.
 """
 
 from __future__ import annotations
@@ -266,42 +271,45 @@ def decompose(X: Sequence[Point]) -> LatticeSpec:
 # filtered counting: rigorous float data + exact fallback
 # ---------------------------------------------------------------------------
 
-def _float_and_err(x: Point, bits=96):
-    lo, hi = x.enclosure(bits)
-    mid = (lo + hi) / 2
-    f = float(mid)
-    err = (hi - lo) / 2 + abs(mid - Fraction(f))
-    return f, err
-
-
 def _filter_data(spec: LatticeSpec, window: IntervalSet, bounds: Sequence[int]):
-    """(y_hat, edges, guard) for the kernel; guard is a rigorous bound on
-    |float classification value - exact value| including all conversion
-    and summation rounding, with the edge conversion error folded in."""
+    """(y_hat, edges, guard, ok) for the kernel and the closure filter.
+
+    y_hat[i] and its radius come from the cached Y[i].approx(); each edge
+    is e.approx() scaled by p in floats, with an error term covering the
+    radius times p, the conversion error |m|*|p - float(p)| and the
+    product's rounding. guard is a rigorous bound on |float value -
+    p * exact value| for any tuple within bounds summed in the kernel's
+    order, and on |edge - p * exact edge|, each with a factor 2 to spare.
+    """
     nu = spec.nu
     y_hat = []
-    err_sum = Fraction(0)
-    mag_sum = Fraction(0)
+    err_sum = 0.0
+    mag_sum = 0.0
     for y, b in zip(spec.Y, bounds):
-        f, err = _float_and_err(y)
+        f, err = y.approx()
         y_hat.append(f)
         err_sum += b * err
-        mag_sum += b * abs(Fraction(f))
+        mag_sum += b * abs(f)
+    p = spec.p
+    pf = float(p)
+    p_err = float(abs(p - int(pf)))
     edges = []
-    edge_err = Fraction(0)
+    edge_err = 0.0
     for e in window.edge_points():
-        f, err = _float_and_err(e * spec.p)
+        m, r = e.approx()
+        f = m * pf
         edges.append(f)
-        edge_err = max(edge_err, err)
-    rounding = Fraction(nu + 3, 2**53) * mag_sum
-    guard_frac = err_sum + rounding + edge_err
-    guard = float(guard_frac) * 2.0 + 1e-280
+        edge_err = max(edge_err, r * pf + abs(m) * p_err + abs(f) * 2.3e-16)
+    rounding = (nu + 3) * 2.0**-53 * mag_sum
+    guard = (err_sum + rounding + edge_err) * 2.0 + 1e-280
     ok = all(a < b for a, b in zip(edges, edges[1:]))
     return y_hat, edges, guard, ok
 
 
 def _classify(spec: LatticeSpec, m: int, window: IntervalSet, cap: int, collect: bool):
     """Exact (count, hit_tuples) of A_m inside window."""
+    if m < 0:
+        raise ValueError(f"lattice level m must be >= 0, got m = {m}")
     bounds = spec.bounds(m)
     total = spec.tuple_count(m)
     if total > cap:
@@ -401,6 +409,8 @@ def interval_count_ratio(spec: LatticeSpec, m: int, interval: tuple[Point, Point
     enclosure; the enumerated count is the ground truth, the ratio a
     diagnostic only.
     """
+    if m < 1:
+        raise ValueError(f"density ratio needs m >= 1, got m = {m}")
     if spec.nu < 2:
         raise NuOneDensityError(
             "density ratio needs nu >= 2; use count_progression for "
@@ -475,33 +485,47 @@ def shift_closure_check(spec: LatticeSpec, m: int,
 
     Membership on the left factor is decided by the lattice classifier;
     each sum is checked through its integer representation (unique over
-    the independent core) plus an exact interval test. Failure returns
-    the violating pair.
+    the independent core) plus an interval test. The interval test runs
+    through the kernel's float filter: a sum whose double lies more than
+    the guard inside both float edges is inside, and only the others are
+    decided exactly. Failure returns the violating pair.
     """
     x_l = spec.x_l
-    window = IntervalSet.single(spec.basis, -x_l, spec.basis.rational(0))
+    neg_x_l = -x_l
+    window = IntervalSet.single(spec.basis, neg_x_l, spec.basis.rational(0))
     _, hits = _classify(spec, m, window, cap, collect=True)
     nu = spec.nu
     hi_bounds = spec.bounds(m + 1)
+    y_hat, edges, guard, ok = _filter_data(
+        spec, IntervalSet.single(spec.basis, neg_x_l, x_l), hi_bounds)
+    e_lo, e_hi = edges
+    head, y_last = y_hat[:-1], y_hat[-1]
     checked = 0
     for tup in hits:
-        x = spec.point_of(tup)
         for k, row in enumerate(spec.coeffs):
             s = tuple(a + b for a, b in zip(tup, row))
             checked += 1
             ok_bounds = all(abs(s[i]) <= hi_bounds[i] for i in range(nu))
-            val = spec.point_of(s)
-            ok_interval = compare(val, -x_l) > 0 and compare(val, x_l) < 0
-            if not (ok_bounds and ok_interval):
-                return ClosureCertificate(
-                    ok=False, m=m, checked_points=len(hits), checked_sums=checked,
-                    witness={
-                        "x_tuple": list(tup),
-                        "x": x.to_json(),
-                        "k": k,
-                        "x_k": spec.X[k].to_json(),
-                        "sum_tuple": list(s),
-                        "bounds": hi_bounds,
-                        "violates": "integer bounds" if not ok_bounds else "interval",
-                    })
+            if ok_bounds:
+                # the float value, summed in the kernel's order
+                v = 0.0
+                for n, y in zip(s, head):
+                    v += n * y
+                v += s[-1] * y_last
+                if ok and v - e_lo > guard and e_hi - v > guard:
+                    continue
+                val = spec.point_of(s)
+                if compare(val, neg_x_l) > 0 and compare(val, x_l) < 0:
+                    continue
+            return ClosureCertificate(
+                ok=False, m=m, checked_points=len(hits), checked_sums=checked,
+                witness={
+                    "x_tuple": list(tup),
+                    "x": spec.point_of(tup).to_json(),
+                    "k": k,
+                    "x_k": spec.X[k].to_json(),
+                    "sum_tuple": list(s),
+                    "bounds": hi_bounds,
+                    "violates": "integer bounds" if not ok_bounds else "interval",
+                })
     return ClosureCertificate(ok=True, m=m, checked_points=len(hits), checked_sums=checked)

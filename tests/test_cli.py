@@ -169,6 +169,17 @@ def test_config_validation_exit_3(tmp_path, capsys):
                  str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_lattice_count_level_below_one_exit_3(tmp_path, capsys, m):
+    # the density law needs m >= 1; the message names the level
+    write_config(tmp_path, params={"m_values": [m]})
+    capsys.readouterr()
+    assert run(tmp_path, "lattice-count") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"m = {m}" in err
+
+
 def test_corrupted_witness_exit_1(config):
     assert run(config, "build-witness") == 0
     blob = json.loads((config / "out" / "witness.json").read_text())

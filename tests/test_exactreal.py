@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sweepout import exactreal
 from sweepout.errors import PrecisionExhausted
 from sweepout.exactreal import (Generator, GeneratorBasis, IntervalSet, Point,
                                 PointSet, compare, decimal_enclosure_str,
@@ -103,6 +105,58 @@ def test_floor_and_mod1(surd_basis):
     w = reduce_mod1(r2)
     assert float(w) == pytest.approx(math.sqrt(2) - 1)
     assert reduce_mod1(surd_basis.rational(F(-1, 4))) == F(3, 4)
+
+
+def _floor_outcome(fn, x):
+    try:
+        return fn(x)
+    except PrecisionExhausted:
+        return "undecided"
+
+
+def test_floor_filter_matches_enclosure_path(monkeypatch):
+    by_enclosure = exactreal._floor_by_enclosure
+    fallbacks = [0]
+
+    def counted(x):
+        fallbacks[0] += 1
+        return by_enclosure(x)
+
+    monkeypatch.setattr(exactreal, "_floor_by_enclosure", counted)
+    rng = random.Random(41)
+    surds = GeneratorBasis.from_specs(["sqrt:2", "sqrt:3", "sqrt:5"])
+    points = []
+    for _ in range(300):
+        points.append(surds.point([F(rng.randint(-10**6, 10**6), rng.randint(1, 999))
+                                   for _ in range(surds.dim)]))
+    # within 10^-25 of an integer, on either side, of either sign
+    r2 = surds.point(["0", "1", "0", "0"])
+    q = F(math.isqrt(2 * 10**52), 10**26)  # sqrt 2 - 10^-26 < q < sqrt 2
+    for k in (-10**9, -7, -1, 0, 1, 3, 10**12):
+        points.append(r2 - q + k)
+        points.append(q - r2 + k)
+    # a coarse decimal generator (declared to 2^-12): random values, and
+    # values a*g + c placed j * 10^-5 from an integer, which neither path
+    # can decide for small j
+    coarse = GeneratorBasis.from_specs(["dec:0.7071@12"], assert_independent=True)
+    for _ in range(100):
+        a = F(rng.randint(-40, 40), rng.randint(1, 8))
+        points.append(coarse.point([F(rng.randint(-400, 400), 8), a]))
+    for _ in range(100):
+        a = rng.choice([-3, -1, 1, 2, 5])
+        c = rng.randint(-9, 9) - a * F("0.7071") + F(rng.randint(-60, 60), 10**5)
+        points.append(coarse.point([c, a]))
+    decided = 0
+    outcomes = set()
+    for x in points:
+        before = fallbacks[0]
+        got = _floor_outcome(floor_point, x)
+        decided += fallbacks[0] == before
+        assert got == _floor_outcome(by_enclosure, x), x
+        outcomes.add(type(got))
+    # both paths ran, and some floors are undecided in both
+    assert 0 < decided < len(points)
+    assert outcomes == {int, str}
 
 
 @given(st.lists(rationals, min_size=1, max_size=6))

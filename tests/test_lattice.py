@@ -6,11 +6,13 @@ import pytest
 
 from sweepout.errors import CapExceeded
 from sweepout.exactreal import GeneratorBasis, IntervalSet, compare
-from sweepout.lattice import (CountReport, LatticeSpec, NuOneDensityError,
-                              count_progression, decompose,
-                              enumerate_lattice, expected_cardinality,
-                              interval_count_ratio, lattice_count,
-                              lattice_hits, shift_closure_check)
+from sweepout.lattice import (DEFAULT_TUPLE_CAP, ClosureCertificate,
+                              CountReport, LatticeSpec, NuOneDensityError,
+                              _classify, _filter_data, count_progression,
+                              decompose, enumerate_lattice,
+                              expected_cardinality, interval_count_ratio,
+                              lattice_count, lattice_hits,
+                              shift_closure_check)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +196,13 @@ def test_interval_count_ratio_rejections(surd_spec, surd_basis, rat_basis):
     with pytest.raises(ValueError):
         interval_count_ratio(surd_spec, 5,
                              (surd_basis.rational(0), surd_basis.rational(F(1, 2))))
+    window = (surd_basis.rational(0), surd_basis.rational(F(1, 5)))
+    for m in (0, -3):
+        with pytest.raises(ValueError, match=f"m = {m}"):
+            interval_count_ratio(surd_spec, m, window)
+    with pytest.raises(ValueError, match="m = -1"):
+        lattice_count(surd_spec, -1, IntervalSet.single(surd_basis, *window))
+    assert lattice_count(surd_spec, 0, IntervalSet.single(surd_basis, *window)) == 0
 
 
 def test_count_progression_oracle(rat_basis):
@@ -260,3 +269,165 @@ def test_shift_closure_corrupted(surd_basis, root2_over8, root3_over4):
     s = cert.witness["sum_tuple"]
     hi = bad.bounds(2)
     assert any(abs(c) > b for c, b in zip(s, hi))
+
+
+# ---------------------------------------------------------------------------
+# the closure's float filter against the per-sum exact loop
+# ---------------------------------------------------------------------------
+
+def _closure_oracle(spec, m):
+    """shift_closure_check as a per-sum exact loop: a Point and two exact
+    compares for every sum."""
+    x_l = spec.x_l
+    window = IntervalSet.single(spec.basis, -x_l, spec.basis.rational(0))
+    _, hits = _classify(spec, m, window, DEFAULT_TUPLE_CAP, collect=True)
+    nu = spec.nu
+    hi_bounds = spec.bounds(m + 1)
+    checked = 0
+    for tup in hits:
+        x = spec.point_of(tup)
+        for k, row in enumerate(spec.coeffs):
+            s = tuple(a + b for a, b in zip(tup, row))
+            checked += 1
+            ok_bounds = all(abs(s[i]) <= hi_bounds[i] for i in range(nu))
+            val = spec.point_of(s)
+            ok_interval = compare(val, -x_l) > 0 and compare(val, x_l) < 0
+            if not (ok_bounds and ok_interval):
+                return ClosureCertificate(
+                    ok=False, m=m, checked_points=len(hits), checked_sums=checked,
+                    witness={
+                        "x_tuple": list(tup),
+                        "x": x.to_json(),
+                        "k": k,
+                        "x_k": spec.X[k].to_json(),
+                        "sum_tuple": list(s),
+                        "bounds": hi_bounds,
+                        "violates": "integer bounds" if not ok_bounds else "interval",
+                    })
+    return ClosureCertificate(ok=True, m=m, checked_points=len(hits), checked_sums=checked)
+
+
+def _seeded_spec(rng, nu):
+    """Support over nu independent surds scaled into (0, 1/2) (for
+    nu = 1, one surd and a rational multiple of it), plus small positive
+    integer combinations of them."""
+    radicands = rng.sample([2, 3, 5, 6, 7, 10, 11, 13], nu)
+    basis = GeneratorBasis.from_specs([f"sqrt:{a}" for a in radicands])
+    gens = []
+    for i in range(nu):
+        coeffs = [F(0)] * (nu + 1)
+        coeffs[i + 1] = F(1, rng.randint(8, 16))
+        gens.append(basis.point(coeffs))
+    if nu == 1:
+        gens = [gens[0], gens[0] * F(rng.randint(2, 3), rng.randint(4, 7))]
+    support = list(gens)
+    for _ in range(2):
+        combo = basis.zero()
+        for g in gens:
+            combo = combo + g * rng.randint(0, 2)
+        if not combo.is_zero() and compare(combo, basis.rational(1)) < 0:
+            support.append(combo * F(1, rng.randint(1, 2)))
+    return decompose(support)
+
+
+def _coarse_decimal_spec():
+    # a 24-bit decimal generator within 3e-7 of 1/4: the guard is wide
+    # and many sums land within it of an edge, yet stay decidable
+    basis = GeneratorBasis.from_specs(["dec:0.2500003@24"], assert_independent=True)
+    g = basis.point(["0", "1"])
+    return decompose([g * F(1, 4), basis.rational(F(1, 6)),
+                      g * F(1, 2) + basis.rational(F(1, 8))])
+
+
+def test_shift_closure_matches_exact_oracle(surd_basis, monkeypatch):
+    calls = [0]
+    point_of = LatticeSpec.point_of
+
+    def counted(self, tup):
+        calls[0] += 1
+        return point_of(self, tup)
+
+    monkeypatch.setattr(LatticeSpec, "point_of", counted)
+    rng = random.Random(5)
+    specs = [_seeded_spec(rng, nu) for nu in (1, 2, 3) for _ in range(3)]
+    specs.append(_coarse_decimal_spec())
+    # hand-built specs that fail: tau one too small (integer bounds), and
+    # x_l below another support point (interval)
+    r2_8, r2_4 = surd_basis.point(["0", "1/8", "0"]), surd_basis.point(["0", "1/4", "0"])
+    r3_4 = surd_basis.point(["0", "0", "1/4"])
+    specs.append(LatticeSpec(basis=surd_basis, X=(r2_8, r2_4, r3_4), Y=(r2_4, r3_4),
+                             coeffs=((1, 0), (2, 0), (0, 2)), p=2, tau=1))
+    specs.append(LatticeSpec(basis=surd_basis, X=(r3_4, r2_8), Y=(r3_4, r2_8),
+                             coeffs=((1, 0), (0, 1)), p=1, tau=1))
+    fallback = 0
+    violations = set()
+    for spec in specs:
+        window = IntervalSet.single(spec.basis, -spec.x_l, spec.basis.rational(0))
+        for m in (1, 2, 3, 4):
+            want = _closure_oracle(spec, m).to_json()
+            calls[0] = 0
+            _classify(spec, m, window, DEFAULT_TUPLE_CAP, collect=True)
+            in_classify = calls[0]
+            calls[0] = 0
+            got = shift_closure_check(spec, m).to_json()
+            assert got == want, (spec.to_json(), m)
+            if got["ok"]:
+                fallback += calls[0] - in_classify
+            else:
+                violations.add(got["witness"]["violates"])
+                assert "x" in got["witness"]
+    assert violations == {"integer bounds", "interval"}
+    # some sums sat within the guard of an edge and were decided exactly
+    assert fallback > 0
+
+
+def _within(f, enclosure, guard):
+    lo, hi = enclosure
+    return max(abs(F(f) - lo), abs(F(f) - hi)) <= F(guard)
+
+
+def test_filter_guard_bounds_float_error():
+    rng = random.Random(23)
+    cases = []
+    for nu in (1, 2, 3):
+        for _ in range(3):
+            spec = _seeded_spec(rng, nu)
+            basis = spec.basis
+            pts = enumerate_lattice(spec, 2)
+            a, b = sorted(rng.sample(range(len(pts)), 2))
+            # window edges on lattice points, rational edges, and edges
+            # whose approx() comes from Point arithmetic
+            y = spec.Y[0]
+            y.approx()
+            lo = y * F(-1, 3) + basis.rational(F(1, rng.randint(7, 40)))
+            hi = spec.x_l * F(1, 2) + basis.rational(F(1, 9))
+            assert lo._approx is not None and hi._approx is not None
+            windows = [(pts[a], pts[b]), (basis.rational(F(-1, 3)), basis.rational(F(2, 5))),
+                       (lo, hi)]
+            for m in (1, 3, 6):
+                for w in windows:
+                    if compare(w[0], w[1]) < 0:
+                        cases.append((spec, IntervalSet.single(basis, *w), spec.bounds(m)))
+    # p > 2^53: the edges times p are not exact in doubles, nor is p
+    big = 10**17 + 3
+    surd = GeneratorBasis.from_specs(["sqrt:2", "sqrt:3"])
+    r3_4 = surd.point(["0", "0", "1/4"])
+    spec = decompose([surd.point(["0", "1/8", "0"]), r3_4 * F(big // 3, big), r3_4])
+    assert spec.p > 2**53
+    cases.append((spec, IntervalSet.single(surd, -spec.x_l, surd.rational(0)), [3, 5]))
+    cases.append((spec, IntervalSet.single(surd, r3_4 * F(-1, 7), spec.x_l), [2, 9]))
+    for spec, window, bounds in cases:
+        y_hat, edges, guard, ok = _filter_data(spec, window, bounds)
+        for f, e in zip(edges, window.edge_points()):
+            assert _within(f, (e * spec.p).enclosure(256), guard)
+        corners = [tuple(rng.choice((-b, b)) for b in bounds) for _ in range(4)]
+        randoms = [tuple(rng.randint(-b, b) for b in bounds) for _ in range(60)]
+        for tup in corners + randoms:
+            s = 0.0
+            for n, y in zip(tup[:-1], y_hat):
+                s += n * y
+            s += tup[-1] * y_hat[-1]
+            value = spec.basis.zero()
+            for n, y in zip(tup, spec.Y):
+                value = value + y * n
+            assert _within(s, value.enclosure(256), guard)
