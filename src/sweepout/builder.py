@@ -26,7 +26,6 @@ the thickening radius and the product counts.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -36,8 +35,9 @@ from typing import Sequence
 from .errors import (CapExceeded, GrowthExhausted, SequenceExhausted,
                      VerificationFailed)
 from .exactreal import (GeneratorBasis, IntervalSet, Point, PointSet,
-                        compare, decimal_enclosure_str, fraction_str, max_abs,
-                        min_gap, parse_fraction, reduce_mod1)
+                        bisect_points, compare, decimal_enclosure_str,
+                        fraction_str, max_abs, min_gap, parse_fraction,
+                        reduce_mod1, sort_points)
 from .lambda_search import WindowConstraints, active_atoms, find_lambda
 from .lattice import DEFAULT_TUPLE_CAP, decompose, lattice_hits
 from .measures import (DiscreteMeasure, MeasureSequence, convolve_indicator,
@@ -181,13 +181,13 @@ def _degenerate_pair(mu: DiscreteMeasure, eps: Fraction, res,
     V by the fractional-part addition rule, so disjointness, the count
     ratio and the convolution bound all recertify exactly."""
     act = active_atoms(mu, eps, res.lam)
-    E = sorted((lo + hi) * Fraction(1, 2) for lo, hi in res.U)
+    E = sort_points((lo + hi) * Fraction(1, 2) for lo, hi in res.U)
     g_map = {}
     for x in E:
         for i in act:
             g = x + mu.atoms[i]
             g_map[g.coeffs] = g
-    G = sorted(g_map.values())
+    G = sort_points(g_map.values())
     if not E or not G:
         return None
     pair = EGPair(mu_index=mu_index, epsilon=eps, lam=res.lam, m=0,
@@ -411,7 +411,7 @@ class SweepOutWitness:
             if i == len(factor_lists):
                 return residual if compare(abs(residual), self.eps_prime) < 0 else None
             pts = factor_lists[i]
-            j = bisect.bisect_left(pts, residual)
+            j = bisect_points(pts, residual)
             cands = [c for c in (j - 1, j) if 0 <= c < len(pts)]
             for cand in cands:
                 r = rec(i + 1, residual - pts[cand])
@@ -822,7 +822,9 @@ def trim_witness(w: SweepOutWitness, seq: MeasureSequence,
                 cand = x + a
                 if cand in gset:
                     translates.append((mass, cand))
-            translates.sort(key=lambda t: (-t[0], t[1]))
+            # by mass, heaviest first, ties by point: two stable passes
+            translates = sort_points(translates, key=lambda t: t[1])
+            translates.sort(key=lambda t: -t[0])
             acc = Fraction(0)
             cover = []
             for mass, pt in translates:
@@ -838,7 +840,7 @@ def trim_witness(w: SweepOutWitness, seq: MeasureSequence,
                 f"cannot trim factor at measure {idx} to {max_points} points")
         x, cover = chosen
         trimmed = EGPair(mu_index=f.mu_index, epsilon=f.epsilon, lam=f.lam,
-                         m=f.m, E=(x,), G=tuple(sorted(cover)))
+                         m=f.m, E=(x,), G=tuple(sort_points(cover)))
         cert = trimmed.certify(mu)
         if not cert["ok"]:
             raise VerificationFailed(f"trimmed pair failed certification: {cert}")
@@ -896,7 +898,7 @@ def oscillation_trace(seq: MeasureSequence, schedule: Sequence[tuple[Fraction, F
         g_pts = w.explicit_G()
         e_pairs = w.explicit_E()
         A = to_torus(w.thickened(g_pts))
-        centers = sorted(p for p, _ in e_pairs)[:max_sample_points]
+        centers = sort_points(p for p, _ in e_pairs)[:max_sample_points]
         warnings = []
         if max(w.indices) >= len(seq) - 1:
             warnings.append(

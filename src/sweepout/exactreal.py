@@ -15,6 +15,12 @@ exact. Undecidable comparisons (possible only when a declared independence
 assertion is false, or a decimal generator is too coarse) raise
 PrecisionExhausted rather than guessing.
 
+Lists of Points are ordered and searched by the same filter-then-exact
+rule: sort_points orders by the cached float enclosures and sorts exactly
+only inside clusters whose enclosures cannot be separated, and
+bisect_points decides each probe by the float test and calls compare only
+when it overlaps. Never sort or bisect Points through __lt__.
+
 IntervalSet is the companion set type: a canonical finite union of open
 intervals with Point endpoints, supporting exact measure, translation,
 scaling and intersection.
@@ -25,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .errors import PrecisionExhausted
@@ -307,6 +314,10 @@ class Point:
         return NotImplemented
 
     def __hash__(self):
+        # a rational Point equals its int or Fraction value, so it hashes
+        # like that value
+        if self.is_rational():
+            return hash(self.rational_value())
         return hash(self.coeffs)
 
     def __lt__(self, other):
@@ -410,16 +421,94 @@ def as_point(basis: GeneratorBasis, x) -> Point:
 
 def compare(a: Point, b: Point) -> int:
     """Total-order comparison: -1, 0 or +1, certified exact."""
-    if a.basis != b.basis:
+    if a.basis is not b.basis and a.basis != b.basis:
         raise ValueError("points over different bases")
+    ga, gb = a._approx, b._approx
+    if ga is None or gb is None:
+        # equal coefficients first, so that no enclosure is computed for
+        # them; otherwise the filter goes first, since it is never wrong
+        if a.coeffs == b.coeffs:
+            return 0
+        ga, gb = a.approx(), b.approx()
+    d = ga[0] - gb[0]
+    if abs(d) > 4.0 * (ga[1] + gb[1]) + 1e-300:
+        return 1 if d > 0 else -1
     if a.coeffs == b.coeffs:
         return 0
-    am, ar = a.approx()
-    bm, br = b.approx()
-    d = am - bm
-    if abs(d) > 4.0 * (ar + br) + 1e-300:
-        return 1 if d > 0 else -1
     return (a - b).sign()
+
+
+def sort_points(items, key=None) -> list:
+    """Stable exact sort of Points (of key(item) when key is given).
+
+    The result equals sorted(items, key=cmp_to_key(compare)) composed
+    with key, duplicates in input order. Each point's cached approx()
+    gives an interval [m - 4r, m + 4r], widened by the margin of compare.
+    Sorted by their lower ends, the points are cut wherever the next
+    lower end lies above every upper end before it (by more than 1e-300,
+    as in compare), so every point before the cut is certified below
+    every point after it. Only the clusters between cuts are sorted
+    exactly, in input order.
+    """
+    items = list(items)
+    pts = items if key is None else [key(it) for it in items]
+    n = len(pts)
+    if n < 2:
+        return items
+    basis = pts[0].basis
+    los = []
+    for p in pts:
+        if p.basis is not basis and p.basis != basis:
+            raise ValueError("points over different bases")
+        m, r = p.approx()
+        los.append(m - 4.0 * r)
+    order = sorted(range(n), key=los.__getitem__)
+    out = []
+    start = 0
+    high = -math.inf
+    for k, i in enumerate(order):
+        m, r = pts[i]._approx
+        high = max(high, m + 4.0 * r)
+        if k + 1 < n and not los[order[k + 1]] > high + 1e-300:
+            continue
+        cluster = order[start:k + 1]
+        if len(cluster) > 1:
+            cluster.sort()
+            cluster.sort(key=cmp_to_key(lambda a, b: compare(pts[a], pts[b])))
+        out.extend(items[i] for i in cluster)
+        start = k + 1
+    return out
+
+
+def bisect_points(pts: Sequence[Point], x: Point, right: bool = False) -> int:
+    """Index at which bisect_left (bisect_right when right) of the bisect
+    module would insert x into the sorted Points pts.
+
+    Each probe is decided by the float filter of compare, which is called
+    only when the two enclosures overlap.
+    """
+    if not pts:
+        return 0
+    xm, xr = x.approx()
+    basis = x.basis
+    lo, hi = 0, len(pts)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        p = pts[mid]
+        if p.basis is not basis and p.basis != basis:
+            raise ValueError("points over different bases")
+        pm, pr = p.approx()
+        d = pm - xm
+        if abs(d) > 4.0 * (pr + xr) + 1e-300:
+            c = 1 if d > 0 else -1
+        else:
+            c = compare(p, x)
+        # bisect_left moves right past p < x, bisect_right past p <= x
+        if c < 0 or (right and c == 0):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def floor_point(x: Point) -> int:
@@ -491,7 +580,7 @@ class PointSet:
                 raise ValueError("points over different bases")
             pts[p.coeffs] = p
         self.basis = basis
-        self.points = tuple(sorted(pts.values())) if pts else ()
+        self.points = tuple(sort_points(pts.values()))
         self._keys = frozenset(pts)
         self._lift_range = None
 
@@ -544,7 +633,9 @@ class IntervalSet:
             if compare(lo, hi) >= 0:
                 raise ValueError(f"interval with lo >= hi: ({lo!r}, {hi!r})")
             items.append((lo, hi))
-        items.sort(key=lambda iv: (iv[0], iv[1]))
+        # by lo, ties by hi: two stable passes
+        items = sort_points(sort_points(items, key=lambda iv: iv[1]),
+                            key=lambda iv: iv[0])
         merged: list[tuple[Point, Point]] = []
         for lo, hi in items:
             if merged and compare(lo, merged[-1][1]) < 0:
@@ -617,9 +708,7 @@ class IntervalSet:
         return IntervalSet.canonicalize(self.basis, list(self.intervals) + list(other.intervals))
 
     def contains(self, x: Point) -> bool:
-        import bisect
-
-        j = bisect.bisect_right(self._los, x)
+        j = bisect_points(self._los, x, right=True)
         if j == 0:
             return False
         lo, hi = self.intervals[j - 1]
@@ -639,10 +728,8 @@ class IntervalSet:
 
     def contains_set(self, other: "IntervalSet") -> bool:
         """other is a subset of self (both canonical, open)."""
-        import bisect
-
         for lo, hi in other.intervals:
-            j = bisect.bisect_right(self._los, lo)
+            j = bisect_points(self._los, lo, right=True)
             if j == 0:
                 return False
             slo, shi = self.intervals[j - 1]
@@ -683,7 +770,7 @@ def min_gap(points: Iterable[Point]) -> Point:
     larger sets it is the smallest difference of consecutive sorted
     elements, which equals the minimum over all pairs.
     """
-    pts = sorted({p.coeffs: p for p in points}.values())
+    pts = sort_points({p.coeffs: p for p in points}.values())
     if not pts:
         raise ValueError("min_gap of an empty set")
     if len(pts) == 1:

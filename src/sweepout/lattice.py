@@ -33,7 +33,7 @@ from typing import Sequence
 from . import kernel
 from .errors import CapExceeded
 from .exactreal import (GeneratorBasis, IntervalSet, Point, compare,
-                        fraction_str)
+                        fraction_str, sort_points)
 
 DEFAULT_TUPLE_CAP = 10**7
 
@@ -237,7 +237,7 @@ def decompose(X: Sequence[Point]) -> LatticeSpec:
     subset always contains x_l and, among maximal independent subsets, is
     the lexicographically latest by index (deterministic tie-breaking).
     """
-    pts = sorted({p.coeffs: p for p in X}.values())
+    pts = sort_points({p.coeffs: p for p in X}.values())
     if not pts:
         raise ValueError("empty support")
     basis = pts[0].basis
@@ -251,7 +251,7 @@ def decompose(X: Sequence[Point]) -> LatticeSpec:
     for p in reversed(pts):
         if _echelon_insert(rows, p.coeffs):
             chosen.append(p)
-    Y = tuple(sorted(chosen))
+    Y = tuple(sort_points(chosen))
     ycols = [y.coeffs for y in Y]
     rationals = []
     for x in pts:
@@ -352,7 +352,7 @@ def lattice_hits(spec: LatticeSpec, m: int, window: IntervalSet,
                  cap: int = DEFAULT_TUPLE_CAP) -> list[Point]:
     """Sorted points of A_m cap window."""
     _, hits = _classify(spec, m, window, cap, collect=True)
-    return sorted(spec.point_of(t) for t in hits)
+    return sort_points(spec.point_of(t) for t in hits)
 
 
 def enumerate_lattice(spec: LatticeSpec, m: int,
@@ -367,7 +367,7 @@ def enumerate_lattice(spec: LatticeSpec, m: int,
     for tup in product(*[range(-b, b + 1) for b in spec.bounds(m)]):
         pt = spec.point_of(tup)
         seen[pt.coeffs] = pt
-    return sorted(seen.values())
+    return sort_points(seen.values())
 
 
 def expected_cardinality(spec: LatticeSpec, m: int) -> int:

@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactreal import (GeneratorBasis, IntervalSet, Point, PointSet,
-                        compare, floor_point, fraction_str, parse_fraction)
+                        compare, floor_point, fraction_str, parse_fraction,
+                        sort_points)
 
 
 class DiscreteMeasure:
@@ -53,7 +54,7 @@ class DiscreteMeasure:
             else:
                 acc[a.coeffs] = m
                 order[a.coeffs] = a
-        pts = sorted(order.values())
+        pts = sort_points(order.values())
         one = basis.rational(1)
         for p in pts:
             if p.sign() <= 0 or compare(p, one) >= 0:
@@ -246,7 +247,7 @@ def step_profile(mu: DiscreteMeasure, A: IntervalSet) -> StepProfile:
         for lo, hi in torus_pieces(A.translate(-a)):
             add(lo, m)
             add(hi, -m)
-    bps = sorted(points.values())
+    bps = sort_points(points.values())
     pieces = []
     running = Fraction(0)
     for b, nxt in zip(bps, bps[1:]):

@@ -253,6 +253,43 @@ def test_golden_artifact_digests(tmp_path):
         assert got == digest, name
 
 
+# sha256 of the nine artifacts the eight CLI commands write on
+# configs/demo.json (the reports are left out, as above)
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+DEMO_DIGESTS = {
+    "lattice_spec.json":
+        "27cf493697b5d7d8598f7d1f1ca6027c437930c5befb4f152f4e0c9fbd666781",
+    "lattice_count.csv":
+        "2e17d8ba140866cb61c3b083f36533a0e42b964e8b3f3b16ce57abd7354f607a",
+    "lambda_profile.csv":
+        "4b5ae8c2b15198caee6f7f7f6de8e32631411adbc273b7d11ec0a35d1ff3f7b7",
+    "eg_pair.json":
+        "d5591c29e8a782e4126eaa1455fe5bb2489ab24753de6c7cbcba713ce5d2b04f",
+    "witness.json":
+        "bd50cdc3df4b42464571566d25b8c4bcd4341b94f19b8b7881da2256be1f807c",
+    "witness_trimmed.json":
+        "80c7c1821ef1c8792fc8a48ae90208b57887320122dab6b20cf1da0c89ed8079",
+    "trace.csv":
+        "1c7d63f78d4be309b8e0d10c247e138298e230c44caa11293659a55f4dc3beba",
+    "condition1.csv":
+        "aa03a31b4a26d0a0a69674f0c94d2405b17e80f42f9cd49cbb6f2e0b26f30eef",
+    "verification.json":
+        "5e409b68b79043dbb13132970bfd2bbbe4d4af90838e79684bf30a18e7fd4b69",
+}
+
+
+def test_demo_artifact_digests(tmp_path):
+    out = tmp_path / "out"
+    base = ["--config", str(DEMO_CONFIG), "--out", str(out)]
+    for command in ("decompose", "lattice-count", "find-lambda", "build-eg",
+                    "build-witness", "trace", "check-conditions"):
+        assert main([command, *base]) == 0, command
+    assert main(["verify", *base, "--witness", str(out / "witness.json")]) == 0
+    for name, digest in DEMO_DIGESTS.items():
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == digest, name
+
+
 def _drop_last_index(blob):
     blob["indices"].pop()
 

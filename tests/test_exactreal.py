@@ -1,6 +1,8 @@
+import bisect
 import math
 import random
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from hypothesis import strategies as st
 from sweepout import exactreal
 from sweepout.errors import PrecisionExhausted
 from sweepout.exactreal import (Generator, GeneratorBasis, IntervalSet, Point,
-                                PointSet, compare, decimal_enclosure_str,
-                                floor_point, min_gap, parse_fraction,
-                                reduce_mod1)
+                                PointSet, bisect_points, compare,
+                                decimal_enclosure_str, floor_point, min_gap,
+                                parse_fraction, reduce_mod1, sort_points)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 
@@ -168,6 +170,238 @@ def test_compare_total_order(coeff_list):
     for a, b in zip(s, s[1:]):
         assert compare(a, b) <= 0
         assert (a.rational_value() <= b.rational_value())
+
+
+def test_compare_fast_path(surd_basis, monkeypatch):
+    r2 = surd_basis.point(["0", "1", "0"])
+    r3 = surd_basis.point(["0", "0", "1"])
+    # equal coefficients, different cached approximations
+    fresh = surd_basis.point(["1/3", "1", "0"])
+    made = (r2 + r3 + F(1, 3)) - r3
+    fresh.approx()
+    assert made.coeffs == fresh.coeffs and made._approx != fresh._approx
+    assert compare(made, fresh) == 0 and compare(fresh, made) == 0
+    # with one approximation missing, equality is decided without one
+    bare = surd_basis.point(["1/3", "1", "0"])
+    assert compare(made, bare) == 0 and bare._approx is None
+    # different bases raise, however far apart the midpoints are
+    other = GeneratorBasis.from_specs(["sqrt:5"])
+    far = other.rational(100)
+    far.approx()
+    r2.approx()
+    with pytest.raises(ValueError):
+        compare(r2, far)
+    with pytest.raises(ValueError):
+        sort_points([r2, far])
+    with pytest.raises(ValueError):
+        bisect_points([r2], far)
+    # a pair 10^-30 apart is decided by sign()
+    q = F(math.isqrt(2 * 10**60), 10**30)  # sqrt 2 - 10^-30 < q < sqrt 2
+    near = surd_basis.rational(q)
+    signs = [0]
+    sign = Point.sign
+
+    def counted(self):
+        signs[0] += 1
+        return sign(self)
+
+    monkeypatch.setattr(Point, "sign", counted)
+    assert compare(r2, near) == 1 and compare(near, r2) == -1
+    assert signs[0] == 2
+
+
+def test_point_hash_matches_equality():
+    for basis in (GeneratorBasis.rationals(),
+                  GeneratorBasis.from_specs(["sqrt:2", "sqrt:3"]),
+                  GeneratorBasis.from_specs(["rat:1/2", "sqrt:2"])):
+        for q in (0, 1, -3, F(1, 2), F(-7, 9)):
+            p = basis.rational(q)
+            assert p == q and hash(p) == hash(q)
+            assert {q: "x"}.get(p) == "x" and p in {q}
+            assert hash(basis.point(list(p.coeffs))) == hash(p)
+    basis = GeneratorBasis.from_specs(["sqrt:2", "sqrt:3"])
+    r2 = basis.point(["1", "1", "0"])
+    assert hash(r2) == hash(basis.point(["1", "1", "0"]))
+    assert {r2: "y"}.get((r2 + 1) - 1) == "y"
+
+
+# ---------------------------------------------------------------------------
+# sorting and bisecting Points
+# ---------------------------------------------------------------------------
+
+def _cmp_sorted(items, key=None):
+    key = key or (lambda p: p)
+    return sorted(items, key=cmp_to_key(lambda a, b: compare(key(a), key(b))))
+
+
+def _count_compares(monkeypatch):
+    calls = [0]
+    exact = exactreal.compare
+
+    def counted(a, b):
+        calls[0] += 1
+        return exact(a, b)
+
+    monkeypatch.setattr(exactreal, "compare", counted)
+    return calls
+
+
+def _sort_cases():
+    """Seeded lists of Points, each with the property it exercises."""
+    rng = random.Random(7)
+    surds = GeneratorBasis.from_specs(["sqrt:2", "sqrt:3", "sqrt:5"])
+    r2 = surds.point(["0", "1", "0", "0"])
+    r3 = surds.point(["0", "0", "1", "0"])
+    r2.approx(), r3.approx()  # so that arithmetic on them carries one
+    q = F(math.isqrt(2 * 10**60), 10**30)  # sqrt 2 - 10^-30 < q < sqrt 2
+    cases = {}
+    cases["random surds"] = [
+        surds.point([F(rng.randint(-999, 999), rng.randint(1, 99))
+                     for _ in range(surds.dim)]) for _ in range(200)]
+    # 10^-30 apart, at several offsets
+    cases["near ties"] = [p for k in range(-3, 4)
+                          for p in (r2 + F(k, 7), surds.rational(q + F(k, 7)),
+                                    surds.rational(q + F(k, 7) - F(1, 10**30)))]
+    # exact duplicates whose cached midpoints differ: one made by Point
+    # arithmetic, one a fresh enclosure
+    dups = []
+    for k in range(6):
+        made = (r2 * F(k + 1, 3) + 10**6) - 10**6
+        fresh = surds.point(list(made.coeffs))
+        assert made.approx()[0] != fresh.approx()[0]
+        dups += [made, fresh, made, surds.point(list(made.coeffs))]
+    cases["duplicates"] = dups
+    # near ties whose midpoints are in the wrong order: sqrt 2 made by
+    # arithmetic, between rationals 10^-30 below and above it
+    made = (r2 + 10**6) - 10**6
+    assert made.approx()[0] != r2.approx()[0]
+    cases["misordered midpoints"] = [surds.rational(q), made,
+                                     surds.rational(q + 2 * F(1, 10**30))]
+    # a wide enclosure whose midpoint lies above two points it is below,
+    # as long chains of arithmetic leave, and its mirror image: a cut must
+    # weigh every upper end before it and every lower end after it
+    for sign, name in ((1, "wide enclosure"), (-1, "wide enclosure, mirrored")):
+        wide = surds.rational(F(-sign, 10**6))
+        wide._approx = (sign * 2e-5, 1e-4)
+        cases[name] = [surds.rational(0), surds.rational(F(sign, 10**5)), wide]
+    # different values with the same double midpoint
+    third = F(1, 3)
+    cases["colliding midpoints"] = [
+        surds.rational(third + F(j, 10**30)) for j in (3, -2, 0, 1, -1, 2)
+    ] + [surds.rational(q), r2, surds.rational(q - F(1, 10**40))]
+    rats = GeneratorBasis.rationals()
+    cases["rationals"] = [rats.rational(F(rng.randint(-50, 50), rng.randint(1, 12)))
+                          for _ in range(120)]
+    cases["singleton"] = [r2]
+    cases["empty"] = []
+    for pts in cases.values():
+        rng.shuffle(pts)
+    return cases
+
+
+def test_sort_points_matches_cmp_sort(monkeypatch):
+    cases = _sort_cases()
+    mids = [p.approx()[0] for p in cases["colliding midpoints"]]
+    assert len(set(mids)) < len(mids)
+    calls = _count_compares(monkeypatch)
+    for name, pts in cases.items():
+        expected = _cmp_sorted(pts)
+        before = calls[0]
+        got = sort_points(pts)
+        exact_calls = calls[0] - before
+        assert [p.coeffs for p in got] == [p.coeffs for p in expected], name
+        assert all(a is b for a, b in zip(got, expected)), name
+        assert len(got) == len(pts)
+        # clusters that the floats cannot separate are sorted exactly
+        if name not in ("random surds", "rationals", "singleton", "empty"):
+            assert exact_calls > 0, name
+    # by key, and with a generator as input
+    pairs = [(i, p) for i, p in enumerate(cases["duplicates"])]
+    got = sort_points(iter(pairs), key=lambda t: t[1])
+    assert got == _cmp_sorted(pairs, key=lambda t: t[1])
+
+
+def test_sort_points_precision_exhausted_on_coarse_basis():
+    # dec:0.7071@12 declares g to within 2^-12, so Points whose
+    # difference has a g coefficient may be inseparable
+    coarse = GeneratorBasis.from_specs(["dec:0.7071@12"], assert_independent=True,
+                                       precision_cap=256)
+    g_value = F("0.7071")
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(60):
+        pts = []
+        for _ in range(rng.randint(2, 6)):
+            # values t + j * 10^-5: near ties between Points with different
+            # g coefficients are inseparable, the others are not
+            a = rng.choice([-2, -1, 1, 3])
+            t = F(rng.randint(-6, 6), 4)
+            c = t - a * g_value + F(rng.randint(-9, 9), 10**5)
+            pts.append(coarse.point([c, a]))
+        by_value = sorted(pts, key=lambda p: p.coeffs[0] + p.coeffs[1] * g_value)
+        inseparable = False
+        for a, b in zip(by_value, by_value[1:]):
+            try:
+                compare(a, b)
+            except PrecisionExhausted:
+                inseparable = True
+        try:
+            got = sort_points(pts)
+        except PrecisionExhausted:
+            got = None
+        assert (got is None) == inseparable
+        if got is not None:
+            assert all(a is b for a, b in zip(got, _cmp_sorted(pts)))
+        outcomes.add(inseparable)
+    assert outcomes == {True, False}
+
+
+def test_bisect_points_matches_bisect(monkeypatch):
+    surds = GeneratorBasis.from_specs(["sqrt:2", "sqrt:3", "sqrt:5"])
+    rng = random.Random(11)
+    r2 = surds.point(["0", "1", "0", "0"])
+    q = F(math.isqrt(2 * 10**60), 10**30)
+    pts = [surds.point([F(rng.randint(-99, 99), rng.randint(1, 9))
+                        for _ in range(surds.dim)]) for _ in range(40)]
+    pts += [r2, surds.rational(q), r2 + 0, pts[3], pts[3]]
+    pts = sort_points(pts)
+    for p in pts:
+        p.approx()
+    tiny = F(1, 10**30)
+    probes = [surds.point(list(p.coeffs)) for p in pts]
+    probes += [p + d for p in pts[::3] for d in (tiny, -tiny)]
+    probes += [pts[0] - 1, pts[-1] + 1, r2, surds.rational(q + tiny)]
+    # equal values whose midpoints Point arithmetic has moved
+    probes += [(p + 10**6) - 10**6 for p in pts]
+    probes += [surds.point([F(rng.randint(-99, 99), rng.randint(1, 9))
+                            for _ in range(surds.dim)]) for _ in range(20)]
+    calls = _count_compares(monkeypatch)
+    for x in probes:
+        assert bisect_points(pts, x) == bisect.bisect_left(pts, x)
+        assert bisect_points(pts, x, right=True) == bisect.bisect_right(pts, x)
+        assert bisect_points([], x) == bisect_points([], x, right=True) == 0
+    assert calls[0] > 0
+
+
+def test_interval_membership_at_endpoints(surd_basis):
+    r2 = surd_basis.point(["0", "1", "0"])
+    r3 = surd_basis.point(["0", "0", "1"])
+    tiny = F(1, 10**30)
+    s = IntervalSet.canonicalize(surd_basis, [(r2 - 1, r3 - 1), (r3 - 1, r2),
+                                              (r3, r3 + 1)])
+    assert len(s) == 3
+    for lo, hi in s:
+        for edge in (lo, hi, surd_basis.point(list(lo.coeffs))):
+            assert not s.contains(edge)
+        assert s.contains(lo + tiny) and s.contains(hi - tiny)
+        assert s.contains(lo - tiny) == (lo == r3 - 1)
+        assert s.contains_set(IntervalSet.single(surd_basis, lo, hi))
+        assert s.contains_set(IntervalSet.single(surd_basis, lo + tiny, hi - tiny))
+        assert not s.contains_set(IntervalSet.single(surd_basis, lo - tiny, hi))
+        assert not s.contains_set(IntervalSet.single(surd_basis, lo, hi + tiny))
+    assert not s.contains(r2 - 1 - tiny) and not s.contains(r3 + 1 + tiny)
+    # r3 - 1 joins two intervals but is not a member of either
+    assert not s.contains_set(IntervalSet.single(surd_basis, r2 - 1, r2))
 
 
 # ---------------------------------------------------------------------------
