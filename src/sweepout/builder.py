@@ -186,7 +186,7 @@ def _degenerate_pair(mu: DiscreteMeasure, eps: Fraction, res,
     for x in E:
         for i in act:
             g = x + mu.atoms[i]
-            g_map[g.coeffs] = g
+            g_map[g.key] = g
     G = sort_points(g_map.values())
     if not E or not G:
         return None
@@ -260,7 +260,7 @@ def unique_sum_check(sets: Sequence[Sequence[Point]],
             f"{total} sum tuples exceed the cap {cap}; rely on separation_check")
     seen: dict = {}
     for acc, combo in _sums(sets):
-        key = acc.coeffs
+        key = acc.key
         if key in seen:
             return False, {
                 "sum": acc.to_json(),
@@ -646,7 +646,7 @@ def _explicit_checks(w: SweepOutWitness, seq: MeasureSequence,
                      cap: int) -> list[Check]:
     checks = []
     g_pts = w.explicit_G(cap=cap)
-    g_keys = {p.coeffs for p in g_pts}
+    g_keys = {p.key for p in g_pts}
     checks.append(Check(
         name="explicit.G_distinct",
         claim="sumset G enumerates with no collisions (product count)",
@@ -654,7 +654,7 @@ def _explicit_checks(w: SweepOutWitness, seq: MeasureSequence,
                   "expected": w.count_G},
         passed=len(g_keys) == len(g_pts) == w.count_G, method="exact"))
     e_pairs = w.explicit_E(cap=cap)
-    e_keys = {p.coeffs for p, _ in e_pairs}
+    e_keys = {p.key for p, _ in e_pairs}
     disjoint_FG = not (e_keys & g_keys)
     checks.append(Check(
         name="explicit.E_distinct",

@@ -83,7 +83,7 @@ def _frac_param(params, name, default=None, required=False) -> Fraction | None:
         return None
     try:
         return parse_fraction(raw)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ConfigError(f"parameter {name} is not a rational: {raw!r}")
 
 

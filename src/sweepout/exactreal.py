@@ -3,10 +3,14 @@
 Every real number handled by this package is a Point: a vector of rational
 coefficients over a small basis of declared generators (the constant 1,
 square roots of distinct squarefree integers, or decimal literals with a
-declared precision). Two Points are equal exactly when their coefficient
-vectors are equal; this is forced by the rational independence of the
-generators, which is certified automatically for surd bases and asserted
-by the user otherwise.
+declared precision). A Point stores its coefficients as integers over one
+common denominator, nums / den, always reduced (den > 0, gcd(den, *nums)
+== 1, zero as (0, ..., 0) / 1), so all arithmetic runs on ints; the
+hashable Point.key == (nums, den) identifies the value, and the read-only
+Point.coeffs gives the same vector as a tuple of Fractions. Two Points are
+equal exactly when their coefficient vectors are equal; this is forced by
+the rational independence of the generators, which is certified
+automatically for surd bases and asserted by the user otherwise.
 
 Order comparisons are decided by adaptive-precision interval evaluation
 with a fast floating-point filter in front: the filter only ever decides
@@ -29,9 +33,11 @@ scaling and intersection.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import PrecisionExhausted
@@ -42,12 +48,17 @@ _SQUAREFREE_PRIME_BOUND = 10**6
 
 
 def parse_fraction(text) -> Fraction:
-    """Parse "p/q", integer or decimal strings into an exact Fraction."""
+    """Parse "p/q", integer or decimal strings into an exact Fraction.
+
+    Malformed text, a zero denominator included, raises ValueError."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def fraction_str(q: Fraction) -> str:
@@ -97,7 +108,7 @@ class Generator:
             if not _is_squarefree(n):
                 raise ValueError(f"sqrt radicand must be squarefree: {spec}")
             return cls("sqrt", radicand=n)
-        m = re.fullmatch(r"dec:([0-9.eE+-]+)@(\d+)", spec)
+        m = re.fullmatch(r"dec:([0-9.eE+/-]+)@(\d+)", spec)
         if m:
             v = parse_fraction(m.group(1))
             if v <= 0:
@@ -144,7 +155,7 @@ class GeneratorBasis:
     """
 
     __slots__ = ("gens", "independence_certified", "precision_cap",
-                 "_enc_cache", "_key")
+                 "_enc_cache", "_key", "_unit", "_zeros")
 
     def __init__(self, generators: Sequence[Generator], assert_independent=False,
                  precision_cap=DEFAULT_PRECISION_CAP):
@@ -168,6 +179,9 @@ class GeneratorBasis:
         self.precision_cap = precision_cap
         self._enc_cache = {}
         self._key = tuple(g.spec_string() for g in self.gens)
+        # value of coordinate 0, None when it is 1
+        self._unit = None if gens[0].value == 1 else gens[0].value
+        self._zeros = (0,) * (len(gens) - 1)
 
     @classmethod
     def from_specs(cls, specs: Sequence[str], **kw) -> "GeneratorBasis":
@@ -185,30 +199,43 @@ class GeneratorBasis:
     def spec_strings(self) -> list[str]:
         return list(self._key)
 
-    def enclosures(self, bits: int):
+    def enclosures(self, bits: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(S, ((lo, hi), ...)): integers with lo / S <= g <= hi / S for
+        each generator g, the enclosures of Generator.enclosure(bits)
+        exactly, over their one common denominator S."""
         got = self._enc_cache.get(bits)
         if got is None:
-            got = tuple(g.enclosure(bits) for g in self.gens)
+            encs = [g.enclosure(bits) for g in self.gens]
+            s = math.lcm(*(q.denominator for enc in encs for q in enc))
+            got = (s, tuple(tuple(q.numerator * (s // q.denominator) for q in enc)
+                            for enc in encs))
             self._enc_cache[bits] = got
         return got
 
     def point(self, coeffs) -> "Point":
-        coeffs = tuple(parse_fraction(c) for c in coeffs)
+        coeffs = [parse_fraction(c) for c in coeffs]
         if len(coeffs) != self.dim:
             raise ValueError(f"expected {self.dim} coefficients, got {len(coeffs)}")
-        return Point(self, coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return Point(self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
     def rational(self, q) -> "Point":
         """The Point with value q (rational)."""
-        q = parse_fraction(q)
-        c0 = q / self.gens[0].value
-        out = Point(self, (c0,) + (Fraction(0),) * (self.dim - 1))
-        m = float(q)
+        if type(q) is int:
+            n, d = q, 1
+        else:
+            q = parse_fraction(q)
+            n, d = q.numerator, q.denominator
+        m = n / d
+        if self._unit is not None:
+            c0 = Fraction(n, d) / self._unit
+            n, d = c0.numerator, c0.denominator
+        out = Point(self, (n,) + self._zeros, d)
         out._approx = (m, abs(m) * 2.3e-16 + 1e-300)
         return out
 
     def zero(self) -> "Point":
-        out = Point(self, (Fraction(0),) * self.dim)
+        out = Point(self, (0,) * self.dim)
         out._approx = (0.0, 1e-300)
         return out
 
@@ -226,14 +253,29 @@ _APPROX_BITS = 96
 
 
 class Point:
-    """Immutable exact real: rational coefficients over a GeneratorBasis."""
+    """Immutable exact real: rational coefficients nums[i] / den over a
+    GeneratorBasis, stored reduced (see the module docstring); den > 0."""
 
-    __slots__ = ("basis", "coeffs", "_approx")
+    __slots__ = ("basis", "nums", "den", "_approx")
 
-    def __init__(self, basis: GeneratorBasis, coeffs: tuple[Fraction, ...]):
+    def __init__(self, basis: GeneratorBasis, nums: tuple[int, ...], den: int = 1):
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple([n // g for n in nums])
+            den //= g
         self.basis = basis
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
         self._approx = None
+
+    @property
+    def key(self) -> tuple[tuple[int, ...], int]:
+        return self.nums, self.den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- construction helpers -------------------------------------------
 
@@ -251,44 +293,52 @@ class Point:
     # the exact error plus all float rounding; comparisons that the cached
     # bounds cannot decide still fall back to exact interval refinement.
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other for op in (operator.add, operator.sub)."""
         o = self._coerce(other)
-        out = Point(self.basis, tuple(a + b if b else a for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            nums = tuple(map(op, self.nums, o.nums))
+        else:
+            nums = tuple(map(op, map(operator.mul, self.nums, repeat(db)),
+                             map(operator.mul, o.nums, repeat(da))))
+            da *= db
+        out = Point(self.basis, nums, da)
         if self._approx is not None and o._approx is not None:
             am, ar = self._approx
             bm, br = o._approx
-            m = am + bm
+            m = op(am, bm)
             out._approx = (m, (ar + br) * 1.01 + abs(m) * 2.3e-16 + 1e-300)
         return out
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        out = Point(self.basis, tuple(a - b if b else a for a, b in zip(self.coeffs, o.coeffs)))
-        if self._approx is not None and o._approx is not None:
-            am, ar = self._approx
-            bm, br = o._approx
-            m = am - bm
-            out._approx = (m, (ar + br) * 1.01 + abs(m) * 2.3e-16 + 1e-300)
-        return out
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        out = Point(self.basis, tuple(-a for a in self.coeffs))
+        out = Point(self.basis, tuple(map(operator.neg, self.nums)), self.den)
         if self._approx is not None:
             m, r = self._approx
             out._approx = (-m, r)
         return out
 
     def __mul__(self, scalar):
-        q = scalar if type(scalar) is Fraction else parse_fraction(scalar)
-        out = Point(self.basis, tuple(a * q if a else a for a in self.coeffs))
+        if type(scalar) is int:
+            a, b = scalar, 1
+        else:
+            q = scalar if type(scalar) is Fraction else parse_fraction(scalar)
+            a, b = q.numerator, q.denominator
+        out = Point(self.basis, tuple(map(operator.mul, self.nums, repeat(a))), self.den * b)
         if self._approx is not None:
             am, ar = self._approx
-            qf = float(q)
+            qf = a / b
             m = am * qf
             out._approx = ((m),
                            (ar + abs(am) * 1.2e-16) * abs(qf) * 1.01
@@ -308,7 +358,7 @@ class Point:
 
     def __eq__(self, other):
         if isinstance(other, Point):
-            return self.basis == other.basis and self.coeffs == other.coeffs
+            return self.basis == other.basis and self.key == other.key
         if isinstance(other, (int, Fraction)):
             return self == self.basis.rational(other)
         return NotImplemented
@@ -318,7 +368,7 @@ class Point:
         # like that value
         if self.is_rational():
             return hash(self.rational_value())
-        return hash(self.coeffs)
+        return hash(self.key)
 
     def __lt__(self, other):
         return compare(self, self._coerce(other)) < 0
@@ -335,37 +385,45 @@ class Point:
     # -- certified evaluation ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("point is not rational")
-        return self.coeffs[0] * self.basis.gens[0].value
+        q = Fraction(self.nums[0], self.den)
+        unit = self.basis._unit
+        return q if unit is None else q * unit
 
-    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for c, (gl, gh) in zip(self.coeffs, self.basis.enclosures(bits)):
+    def _bounds(self, bits: int) -> tuple[int, int, int]:
+        """(lo, hi, t): integers with lo / t <= value <= hi / t, t > 0."""
+        s, gens = self.basis.enclosures(bits)
+        lo = hi = 0
+        for c, (gl, gh) in zip(self.nums, gens):
             if c > 0:
                 lo += c * gl
                 hi += c * gh
             elif c < 0:
                 lo += c * gh
                 hi += c * gl
-        return lo, hi
+        return lo, hi, s * self.den
+
+    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
+        lo, hi, t = self._bounds(bits)
+        return Fraction(lo, t), Fraction(hi, t)
 
     def approx(self) -> tuple[float, float]:
         """(midpoint, radius) doubles with a rigorous radius bound."""
         got = self._approx
         if got is None:
-            lo, hi = self.enclosure(_APPROX_BITS)
-            mid = (lo + hi) / 2
-            m = float(mid)
-            rad = (hi - lo) / 2 + abs(mid - Fraction(m))
-            r = float(rad) * 1.0000000001 + 5e-324
+            lo, hi, t = self._bounds(_APPROX_BITS)
+            # int / int is correctly rounded, so m is within |m| * 2^-53 of
+            # the exact midpoint (2^-1075 when m is subnormal); the factor
+            # rounds the half-width and the sum up, 5e-324 covers underflow
+            m = (lo + hi) / (2 * t)
+            r = ((hi - lo) / (2 * t) + abs(m) * 2.0**-53) * 1.0000000001 + 5e-324
             got = (m, r)
             self._approx = got
         return got
@@ -375,14 +433,14 @@ class Point:
         if self.is_zero():
             return 0
         if self.is_rational():
-            return 1 if self.coeffs[0] > 0 else -1
+            return 1 if self.nums[0] > 0 else -1
         m, r = self.approx()
         if abs(m) > 4.0 * r + 1e-300:
             return 1 if m > 0 else -1
         cap = self.basis.precision_cap
         bits = 2 * _APPROX_BITS
         while True:
-            lo, hi = self.enclosure(bits)
+            lo, hi, _ = self._bounds(bits)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -427,13 +485,13 @@ def compare(a: Point, b: Point) -> int:
     if ga is None or gb is None:
         # equal coefficients first, so that no enclosure is computed for
         # them; otherwise the filter goes first, since it is never wrong
-        if a.coeffs == b.coeffs:
+        if a.den == b.den and a.nums == b.nums:
             return 0
         ga, gb = a.approx(), b.approx()
     d = ga[0] - gb[0]
     if abs(d) > 4.0 * (ga[1] + gb[1]) + 1e-300:
         return 1 if d > 0 else -1
-    if a.coeffs == b.coeffs:
+    if a.den == b.den and a.nums == b.nums:
         return 0
     return (a - b).sign()
 
@@ -531,9 +589,9 @@ def _floor_by_enclosure(x: Point) -> int:
     cap = x.basis.precision_cap
     bits = 64
     while True:
-        lo, hi = x.enclosure(bits)
-        flo = math.floor(lo)
-        if flo == math.floor(hi):
+        lo, hi, t = x._bounds(bits)
+        flo = lo // t
+        if flo == hi // t:
             return flo
         if bits >= cap:
             raise PrecisionExhausted(
@@ -578,7 +636,7 @@ class PointSet:
                 basis = p.basis
             elif p.basis != basis:
                 raise ValueError("points over different bases")
-            pts[p.coeffs] = p
+            pts[p.key] = p
         self.basis = basis
         self.points = tuple(sort_points(pts.values()))
         self._keys = frozenset(pts)
@@ -591,7 +649,7 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, p: Point):
-        return p.coeffs in self._keys
+        return p.key in self._keys
 
     def contains_torus(self, v: Point) -> bool:
         """Membership of v mod 1: any integer lift of v in the set."""
@@ -602,7 +660,7 @@ class PointSet:
                                 floor_point(self.points[-1]) + 1)
         w = reduce_mod1(v)
         k_lo, k_hi = self._lift_range
-        return any((w + k).coeffs in self._keys for k in range(k_lo, k_hi + 1))
+        return any((w + k).key in self._keys for k in range(k_lo, k_hi + 1))
 
 
 class IntervalSet:
@@ -667,11 +725,11 @@ class IntervalSet:
         if not isinstance(other, IntervalSet):
             return NotImplemented
         return self.basis == other.basis and [
-            (a.coeffs, b.coeffs) for a, b in self.intervals
-        ] == [(a.coeffs, b.coeffs) for a, b in other.intervals]
+            (a.key, b.key) for a, b in self.intervals
+        ] == [(a.key, b.key) for a, b in other.intervals]
 
     def __hash__(self):
-        return hash(tuple((a.coeffs, b.coeffs) for a, b in self.intervals))
+        return hash(tuple((a.key, b.key) for a, b in self.intervals))
 
     def measure(self) -> Point:
         total = self.basis.zero()
@@ -770,7 +828,7 @@ def min_gap(points: Iterable[Point]) -> Point:
     larger sets it is the smallest difference of consecutive sorted
     elements, which equals the minimum over all pairs.
     """
-    pts = sort_points({p.coeffs: p for p in points}.values())
+    pts = sort_points({p.key: p for p in points}.values())
     if not pts:
         raise ValueError("min_gap of an empty set")
     if len(pts) == 1:

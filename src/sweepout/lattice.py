@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -185,24 +186,28 @@ class LatticeSpec:
             out *= 2 * b + 1
         return out
 
+    @cached_property
+    def _y_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, rows): Y[i].nums scaled to the common denominator D."""
+        d = math.lcm(*(y.den for y in self.Y))
+        return d, tuple(tuple(c * (d // y.den) for c in y.nums) for y in self.Y)
+
     def point_of(self, tup: Sequence[int]) -> Point:
-        acc = [Fraction(0)] * self.basis.dim
+        d, rows = self._y_rows
+        acc = [0] * self.basis.dim
         mid = 0.0
         rad = 0.0
         mag = 0.0
-        for n, y in zip(tup, self.Y):
+        for n, row, y in zip(tup, rows, self.Y):
             if n:
-                q = Fraction(n, self.p)
-                for i, c in enumerate(y.coeffs):
-                    if c:
-                        acc[i] += q * c
+                acc = [a + n * c for a, c in zip(acc, row)]
                 ym, yr = y.approx()
                 qf = n / self.p
                 term = ym * qf
                 mid += term
                 mag += abs(term)
                 rad += (yr + abs(ym) * 1.2e-16) * abs(qf)
-        pt = Point(self.basis, tuple(acc))
+        pt = Point(self.basis, tuple(acc), self.p * d)
         pt._approx = (mid, (rad + mag * (len(tup) + 2) * 2.3e-16) * 1.01 + 1e-300)
         return pt
 
@@ -237,7 +242,7 @@ def decompose(X: Sequence[Point]) -> LatticeSpec:
     subset always contains x_l and, among maximal independent subsets, is
     the lexicographically latest by index (deterministic tie-breaking).
     """
-    pts = sort_points({p.coeffs: p for p in X}.values())
+    pts = sort_points({p.key: p for p in X}.values())
     if not pts:
         raise ValueError("empty support")
     basis = pts[0].basis
@@ -366,7 +371,7 @@ def enumerate_lattice(spec: LatticeSpec, m: int,
     seen = {}
     for tup in product(*[range(-b, b + 1) for b in spec.bounds(m)]):
         pt = spec.point_of(tup)
-        seen[pt.coeffs] = pt
+        seen[pt.key] = pt
     return sort_points(seen.values())
 
 

@@ -49,11 +49,12 @@ class DiscreteMeasure:
             m = parse_fraction(m)
             if m <= 0:
                 raise ValueError("masses must be positive")
-            if a.coeffs in acc:
-                acc[a.coeffs] += m
+            key = a.key
+            if key in acc:
+                acc[key] += m
             else:
-                acc[a.coeffs] = m
-                order[a.coeffs] = a
+                acc[key] = m
+                order[key] = a
         pts = sort_points(order.values())
         one = basis.rational(1)
         for p in pts:
@@ -61,7 +62,7 @@ class DiscreteMeasure:
                 raise ValueError(f"atom outside (0,1): {p!r}")
         self.basis = basis
         self.atoms = tuple(pts)
-        self.masses = tuple(acc[p.coeffs] for p in pts)
+        self.masses = tuple(acc[p.key] for p in pts)
         self.total_mass = sum(self.masses, Fraction(0))
 
     def __len__(self):
@@ -236,7 +237,7 @@ def step_profile(mu: DiscreteMeasure, A: IntervalSet) -> StepProfile:
     points: dict = {}
 
     def add(pt: Point, dm: Fraction):
-        key = pt.coeffs
+        key = pt.key
         deltas[key] = deltas.get(key, Fraction(0)) + dm
         points.setdefault(key, pt)
 
@@ -251,7 +252,7 @@ def step_profile(mu: DiscreteMeasure, A: IntervalSet) -> StepProfile:
     pieces = []
     running = Fraction(0)
     for b, nxt in zip(bps, bps[1:]):
-        running += deltas[b.coeffs]
+        running += deltas[b.key]
         pieces.append((b, nxt, running))
     return StepProfile(mu=mu, target=A, breakpoints=bps, pieces=pieces)
 

@@ -169,6 +169,37 @@ def test_config_validation_exit_3(tmp_path, capsys):
                  str(tmp_path / "o")]) == 3
 
 
+def _zero_mass(cfg):
+    cfg["measures"][0]["masses"][0] = "1/0"
+
+
+def _zero_coefficient(cfg):
+    cfg["measures"][0]["atoms"][0]["coeffs"][1] = "1/0"
+
+
+def _zero_point_param(cfg):
+    cfg["params"]["interval_hi"] = "1/0"
+
+
+def _zero_rational_param(cfg):
+    cfg["params"]["epsilon"] = "1/0"
+
+
+@pytest.mark.parametrize("tamper, command", [
+    (_zero_mass, "decompose"), (_zero_coefficient, "decompose"),
+    (_zero_point_param, "lattice-count"), (_zero_rational_param, "find-lambda")])
+def test_zero_denominator_exit_3(tmp_path, capsys, tamper, command):
+    # a zero denominator anywhere in the config is a config error that
+    # names the text, never a traceback with the exit code of a failure
+    cfg = write_config(tmp_path)
+    tamper(cfg)
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run(tmp_path, command) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "1/0" in err
+
+
 @pytest.mark.parametrize("m", [0, -3])
 def test_lattice_count_level_below_one_exit_3(tmp_path, capsys, m):
     # the density law needs m >= 1; the message names the level

@@ -39,6 +39,18 @@ def test_generator_rejects(bad):
         Generator.parse(bad)
 
 
+@pytest.mark.parametrize("spec", ["rat:3", "rat:3/7", "sqrt:2", "dec:0.7071@12",
+                                  "dec:7071/10000@12", "dec:1e-3@30"])
+def test_generator_spec_roundtrip(spec):
+    g = Generator.parse(spec)
+    back = Generator.parse(g.spec_string())
+    assert (back.kind, back.value, back.radicand, back.bits) == \
+        (g.kind, g.value, g.radicand, g.bits)
+    basis = GeneratorBasis.from_specs(
+        [spec] if spec.startswith("rat:") else ["rat:3", spec])
+    assert GeneratorBasis.from_specs(basis.spec_strings()) == basis
+
+
 def test_basis_independence_certification():
     assert GeneratorBasis.from_specs(["sqrt:2", "sqrt:3"]).independence_certified
     assert not GeneratorBasis.from_specs(["dec:0.7071@60"]).independence_certified
@@ -223,6 +235,143 @@ def test_point_hash_matches_equality():
     r2 = basis.point(["1", "1", "0"])
     assert hash(r2) == hash(basis.point(["1", "1", "0"]))
     assert {r2: "y"}.get((r2 + 1) - 1) == "y"
+
+
+# ---------------------------------------------------------------------------
+# integer-vector Points against a Fraction-tuple reference
+# ---------------------------------------------------------------------------
+
+# The reference keeps each Point as its tuple of Fraction coefficients and
+# evaluates it from Generator.enclosure directly, as Points did before they
+# became reduced integer vectors over one denominator.
+
+def _ref_enclosure(basis, coeffs, bits):
+    lo = hi = F(0)
+    for c, g in zip(coeffs, basis.gens):
+        gl, gh = g.enclosure(bits)
+        lo += c * (gl if c > 0 else gh)
+        hi += c * (gh if c > 0 else gl)
+    return lo, hi
+
+
+def _ref_floor(basis, coeffs):
+    if not any(coeffs[1:]):
+        return math.floor(coeffs[0] * basis.gens[0].value)
+    bits = 64
+    while True:
+        lo, hi = _ref_enclosure(basis, coeffs, bits)
+        if math.floor(lo) == math.floor(hi):
+            return math.floor(lo)
+        if bits >= basis.precision_cap:
+            return "undecided"
+        bits = min(2 * bits, basis.precision_cap)
+
+
+def _assert_reduced(p):
+    assert type(p.den) is int and all(type(n) is int for n in p.nums)
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert any(p.nums) or p.den == 1
+
+
+def _assert_approx_covers(p, coeffs):
+    # the cached (m, r) must contain the 256-bit enclosure of the value
+    m, r = p.approx()
+    lo, hi = _ref_enclosure(p.basis, coeffs, 256)
+    assert F(m) - F(r) <= lo and hi <= F(m) + F(r), (coeffs, m, r)
+
+
+_ORACLE_BASES = (
+    GeneratorBasis.from_specs(["sqrt:2", "sqrt:3"]),
+    GeneratorBasis.from_specs(["dec:0.7071@12"], assert_independent=True),
+    GeneratorBasis.from_specs(["rat:3", "sqrt:5"]),
+    GeneratorBasis.from_specs(["rat:3/7", "sqrt:2", "dec:0.433@40"],
+                              assert_independent=True),
+)
+
+
+def _arithmetic(a, b, c1, c2, q):
+    """(result, reference coefficients) of each operation on a = c1,
+    b = c2 and the scalar q."""
+    return [(a + b, tuple(x + y for x, y in zip(c1, c2))),
+            (a - b, tuple(x - y for x, y in zip(c1, c2))),
+            (-a, tuple(-x for x in c1)),
+            (a * 3, tuple(x * 3 for x in c1)),
+            (a * -2, tuple(x * -2 for x in c1)),
+            (a * 0, tuple(F(0) for _ in c1)),
+            (a * q, tuple(x * q for x in c1)),
+            (a - a, tuple(F(0) for _ in c1))]
+
+
+def _check_against_oracle(basis, c1, c2, q):
+    """Every integer-vector operation on basis.point(c1), basis.point(c2)
+    and the scalar q against the Fraction-tuple reference."""
+    a, b = basis.point(c1), basis.point(c2)
+    pairs = [(a, c1), (b, c2), *_arithmetic(a, b, c1, c2, q),
+             (basis.zero(), tuple(F(0) for _ in c1)),
+             (basis.rational(q), (q / basis.gens[0].value,) + (F(0),) * (basis.dim - 1)),
+             (basis.rational(-7), (-7 / basis.gens[0].value,) + (F(0),) * (basis.dim - 1))]
+    for p, coeffs in pairs:
+        _assert_reduced(p)
+        assert p.coeffs == tuple(coeffs)
+        for bits in (64, 96, 200):
+            assert p.enclosure(bits) == _ref_enclosure(basis, coeffs, bits)
+        try:
+            got = floor_point(p)
+        except PrecisionExhausted:
+            got = "undecided"
+        assert got == _ref_floor(basis, coeffs)
+    # key equality is coefficient equality, and equal points hash alike
+    for p, cp in pairs:
+        for s, cs in pairs:
+            assert (p.key == s.key) == (cp == cs) == (p == s)
+            if p == s:
+                assert hash(p) == hash(s)
+    # fresh approximations, then ones carried through arithmetic
+    for p, coeffs in pairs:
+        _assert_approx_covers(basis.point(coeffs), coeffs)
+    a.approx(), b.approx()
+    for p, coeffs in _arithmetic(a, b, c1, c2, q):
+        assert p._approx is not None
+        _assert_approx_covers(p, coeffs)
+
+
+def test_point_ints_match_fraction_oracle():
+    rng = random.Random(20261018)
+    tiny = F(1, 2**1000)
+    big_den = 3**700                       # above 2^1100
+    for basis in _ORACLE_BASES:
+        assert hash(basis.rational(1)) == hash(1)
+        dim = basis.dim
+        cases = [
+            # values near 2^-1000: subnormal radii
+            ((tiny,) + (F(0),) * (dim - 1), (F(0), tiny * 3) + (F(0),) * (dim - 2),
+             F(1, 3)),
+            # a value below the smallest subnormal: m is 0, r is 5e-324
+            ((F(1, big_den),) + (F(0),) * (dim - 1),
+             (F(0), F(1, big_den)) + (F(0),) * (dim - 2), F(2, 7)),
+            # denominators above 2^1100 on values of order one
+            ((F(big_den // 3, big_den),) + (F(0),) * (dim - 1),
+             tuple(F(rng.randrange(-big_den, big_den), big_den) for _ in range(dim)),
+             F(big_den + 1, big_den)),
+            # a rational whose double is inexact: only the midpoint
+            # rounding term covers it
+            ((F(1, 3),) + (F(0),) * (dim - 1), (F(1, 3),) + (F(0),) * (dim - 1),
+             F(-5, 9)),
+        ]
+        for _ in range(25):
+            cases.append((tuple(F(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(dim)),
+                          tuple(F(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(dim)),
+                          F(rng.randint(-9, 9), rng.randint(1, 9))))
+        for c1, c2, q in cases:
+            _check_against_oracle(basis, c1, c2, q)
+
+
+@given(st.sampled_from(_ORACLE_BASES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_point_ints_match_fraction_oracle_hypothesis(basis, data):
+    coeffs = st.lists(rationals, min_size=basis.dim, max_size=basis.dim).map(tuple)
+    _check_against_oracle(basis, data.draw(coeffs), data.draw(coeffs),
+                          data.draw(rationals))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,17 @@ def test_spec_json_roundtrip(surd_spec):
     assert back.Y == surd_spec.Y
 
 
+def test_spec_json_roundtrip_decimal_basis():
+    # a dec: generator is written as dec:p/q@bits and must read back
+    basis = GeneratorBasis.from_specs(["dec:0.7071@40"], assert_independent=True)
+    spec = decompose([basis.point(["0", "1/4"]), basis.point(["1/8", "1/2"])])
+    assert basis.spec_strings() == ["rat:1", "dec:7071/10000@40"]
+    back = LatticeSpec.from_json(json.loads(json.dumps(spec.to_json())))
+    back.validate()
+    assert back.basis == basis
+    assert back.X == spec.X and back.Y == spec.Y and back.coeffs == spec.coeffs
+
+
 def test_gamma(surd_spec):
     # gamma = (2 tau)^(nu-1) p / y_nu = 2/(sqrt3/4) = 8/sqrt3
     lo, hi = surd_spec.gamma.enclosure(128)
