@@ -99,9 +99,10 @@ def _point_param(basis, params, name, required=False) -> Point | None:
 
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
+    # one dumps and one write: json.dump with indent writes every chunk
+    # of the pure-Python encoder separately
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, rows):
@@ -165,7 +166,7 @@ def _cmd_find_lambda(args, cfg, basis, seq, params, out):
     if args.format == "csv" or _param(params, "emit_profile", True):
         _write_csv(out / "lambda_profile.csv", profile.csv_rows())
     return {"measure_index": idx, "lambda": res.to_json(),
-            "profile_pieces": len(profile.pieces)}
+            "profile_pieces": profile.piece_count}
 
 
 def _cmd_build_eg(args, cfg, basis, seq, params, out):

@@ -252,6 +252,17 @@ class GeneratorBasis:
 _APPROX_BITS = 96
 
 
+def scaled_approx(approx: tuple[float, float], a: int, b: int) -> tuple[float, float]:
+    """(midpoint, radius) of x * a/b from those of x: the radius grows to
+    cover x's radius, the rounding of a/b and of the product, and underflow.
+    Point.__mul__ uses it, so a value kept as x and a/b gets exactly the
+    doubles that the Point x * a/b would carry."""
+    am, ar = approx
+    qf = a / b
+    m = am * qf
+    return m, (ar + abs(am) * 1.2e-16) * abs(qf) * 1.01 + abs(m) * 1.2e-16 + 1e-300
+
+
 class Point:
     """Immutable exact real: rational coefficients nums[i] / den over a
     GeneratorBasis, stored reduced (see the module docstring); den > 0."""
@@ -331,21 +342,19 @@ class Point:
 
     def __mul__(self, scalar):
         if type(scalar) is int:
-            a, b = scalar, 1
-        else:
-            q = scalar if type(scalar) is Fraction else parse_fraction(scalar)
-            a, b = q.numerator, q.denominator
-        out = Point(self.basis, tuple(map(operator.mul, self.nums, repeat(a))), self.den * b)
-        if self._approx is not None:
-            am, ar = self._approx
-            qf = a / b
-            m = am * qf
-            out._approx = ((m),
-                           (ar + abs(am) * 1.2e-16) * abs(qf) * 1.01
-                           + abs(m) * 1.2e-16 + 1e-300)
-        return out
+            return self.scaled(scalar, 1)
+        q = scalar if type(scalar) is Fraction else parse_fraction(scalar)
+        return self.scaled(q.numerator, q.denominator)
 
     __rmul__ = __mul__
+
+    def scaled(self, a: int, b: int) -> "Point":
+        """self * a/b for ints a and b > 0; the approximation, when self has
+        one, is scaled_approx of it."""
+        out = Point(self.basis, tuple(map(operator.mul, self.nums, repeat(a))), self.den * b)
+        if self._approx is not None:
+            out._approx = scaled_approx(self._approx, a, b)
+        return out
 
     def __truediv__(self, scalar):
         q = parse_fraction(scalar)

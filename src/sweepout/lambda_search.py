@@ -11,15 +11,23 @@ exceeds (1 - 3 eps) * |mu|, so some piece must too.
 
 One top-down sweep walks that step function from r to a floor: a heapq
 merge of the atoms' window streams, in exact order, yields its pieces
-(lo, hi, value) by decreasing lam. find_lambda probes the pieces of full
-mass |mu| as the sweep meets them. No piece exceeds |mu|, so these come
-first in its order (value, then lam, descending) and the search usually
-stops near r; only a sweep that reaches the floor ranks the other
-qualifying pieces. The chosen lam is a rational strictly inside its
-piece, re-checked by direct evaluation.
+(lo, hi, value) by decreasing lam. The window ends are doubles: an end
+keeps its atom t and the ratio a/b with end t * a/b, and the enclosure
+that the Point t * a/b would carry (exactreal.scaled_approx). Its exact
+Point is built only where it is read: when two ends' enclosures overlap
+in the merge, in the clipping tests against r and the floor, for a probed
+piece, and for LambdaProfile.pieces. Piece values are integers in units
+of 1/D, D the lcm of the mass denominators.
+
+find_lambda probes the pieces of full mass |mu| as the sweep meets them.
+No piece exceeds |mu|, so these come first in its order (value, then
+lam, descending) and the search usually stops near r; only a sweep that
+reaches the floor ranks the other qualifying pieces. The chosen lam is a
+rational strictly inside its piece, re-checked by direct evaluation.
 
 lambda_profile describes the step function on (r/floor_scale, r]. Its
-arrangement (pieces) is built from the same sweep when first read. Its
+arrangement (pieces) is built from the same sweep when first read; its
+CSV rows and piece count are read from the ends, without Points. Its
 integral, which the averaging bound needs, is certified per atom as
 sum_i m_i |W_i cap (floor, r]|, W_i the windows of atom i, without
 building any piece.
@@ -43,7 +51,7 @@ from functools import cached_property
 
 from .errors import CapExceeded, LambdaNotFound, PrecisionExhausted
 from .exactreal import (IntervalSet, Point, compare, decimal_enclosure_str,
-                        floor_point, fraction_str, parse_fraction)
+                        floor_point, fraction_str, parse_fraction, scaled_approx)
 from .measures import DiscreteMeasure
 
 DEFAULT_FLOOR_SCALE = 10**4
@@ -81,11 +89,22 @@ def window_value(mu: DiscreteMeasure, eps: Fraction, lam: Fraction) -> Fraction:
     return sum((mu.masses[i] for i in active_atoms(mu, eps, lam)), Fraction(0))
 
 
-def _check_params(eps: Fraction, delta: Fraction) -> None:
+def _check_params(eps: Fraction, delta: Fraction, floor_scale: int) -> None:
     if not 0 < eps < Fraction(1, 3):
         raise ValueError("eps must lie in (0, 1/3)")
     if delta <= 0:
         raise ValueError("delta must be positive")
+    # the floor is r / floor_scale: 0 would divide by zero, and no window
+    # upper end ever falls to a negative floor
+    if floor_scale < 1:
+        raise ValueError(f"floor_scale must be a positive integer, got {floor_scale}")
+
+
+def _mass_units(mu: DiscreteMeasure) -> tuple[int, list[int]]:
+    """(D, units): D the lcm of the mass denominators, units each mass in
+    units of 1/D. Piece values are integers in the same units."""
+    denom = math.lcm(*(m.denominator for m in mu.masses))
+    return denom, [m.numerator * (denom // m.denominator) for m in mu.masses]
 
 
 def _window_range(t: Point, eps: Fraction, r: Point, lam_floor: Point) -> tuple[int, int]:
@@ -108,33 +127,39 @@ def _window_range(t: Point, eps: Fraction, r: Point, lam_floor: Point) -> tuple[
     return k0, k_end
 
 
-def _window(t: Point, eps: Fraction, k: int, k0: int, k_end: int,
-            r: Point, lam_floor: Point) -> tuple[Point, Point]:
-    """Window k of atom t, clipped to (lam_floor, r]."""
-    # 1/(k+eps) = d/(k d + n) and 1/(k+1-eps) = d/((k+1) d - n) with
-    # eps = n/d reduced; both right sides are already in lowest terms
-    n, d = eps.numerator, eps.denominator
-    hi = t * Fraction(d, k * d + n)
-    lo = t * Fraction(d, (k + 1) * d - n)
-    if k == k0 and compare(hi, r) > 0:
-        hi = r
-    if k == k_end - 1 and compare(lo, lam_floor) < 0:
-        lo = lam_floor
-    return lo, hi
-
-
 class _End:
-    """A window end in the sweep: the point, the change of the step value
-    there in units of 1/D, and the heap order, larger points first,
-    decided exactly (from the float enclosures unless they overlap; equal
-    points are the only ones neither before nor after each other)."""
+    """A window end in the sweep, kept as doubles.
 
-    __slots__ = ("pt", "dm", "mid", "rad")
+    The end is t * a/b for an atom t and a reduced ratio q = (a, b), or the
+    Point t itself when q is None (r, the floor, and clipped ends). Its
+    (mid, rad) come from t.approx() through scaled_approx, the doubles that
+    the Point t * a/b would carry. The exact Point, pt, is built only when
+    read: when two ends' enclosures overlap in the heap order, for the
+    clipping tests against r and the floor, for a probed piece and for
+    LambdaProfile.pieces. dm is the change of the step value there in units
+    of 1/D. The heap order puts larger ends first and is exact: the float
+    test decides unless the enclosures overlap, and equal points are the
+    only ends neither before nor after each other."""
 
-    def __init__(self, pt: Point, dm: int):
-        self.pt = pt
+    __slots__ = ("t", "q", "_pt", "dm", "mid", "rad")
+
+    def __init__(self, t: Point, q: tuple[int, int] | None, dm: int):
+        self.t = t
+        self.q = q
         self.dm = dm
-        self.mid, self.rad = pt.approx()
+        if q is None:
+            self._pt = t
+            self.mid, self.rad = t.approx()
+        else:
+            self._pt = None
+            self.mid, self.rad = scaled_approx(t.approx(), *q)
+
+    @property
+    def pt(self) -> Point:
+        pt = self._pt
+        if pt is None:
+            pt = self._pt = self.t.scaled(*self.q)
+        return pt
 
     def __lt__(self, other):
         # compare()'s float test, inlined: calling compare() here, which
@@ -146,38 +171,47 @@ class _End:
         return compare(self.pt, other.pt) > 0
 
 
+def _window(t: Point, eps: Fraction, k: int, k0: int, k_end: int,
+            r: Point, lam_floor: Point, dm: int = 0) -> tuple[_End, _End]:
+    """Window k of atom t, clipped to (lam_floor, r], as its ends (lo, hi);
+    the step value rises by dm at hi and falls by dm at lo, going down."""
+    # 1/(k+eps) = d/(k d + n) and 1/(k+1-eps) = d/((k+1) d - n) with
+    # eps = n/d reduced; both right sides are already in lowest terms
+    n, d = eps.numerator, eps.denominator
+    hi = _End(t, (d, k * d + n), dm)
+    lo = _End(t, (d, (k + 1) * d - n), -dm)
+    if k == k0 and compare(hi.pt, r) > 0:
+        hi = _End(r, None, dm)
+    if k == k_end - 1 and compare(lo.pt, lam_floor) < 0:
+        lo = _End(lam_floor, None, -dm)
+    return lo, hi
+
+
 def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
-           windows, piece_cap: int, values: dict):
+           windows, piece_cap: int):
     """The pieces (lo, hi, value) of the step function on (lam_floor, r],
-    from r down. Equal window ends are merged; of equal points the one with
-    the smallest float midpoint represents them (as an ascending sort
-    would keep it). values collects the distinct values yielded. Raises
-    CapExceeded once more than piece_cap windows have been entered."""
-    denom = math.lcm(*(m.denominator for m in mu.masses))
+    from r down: lo and hi are _Ends, value is in units of 1/D (see
+    _mass_units). Equal window ends are merged; of equal points the one
+    with the smallest float midpoint represents them (as an ascending sort
+    would keep it). Raises CapExceeded once more than piece_cap windows
+    have been entered."""
     budget = [piece_cap]
 
     def ends(t, m, k0, k_end):
-        m = m.numerator * (denom // m.denominator)
         for k in range(k0, k_end):
             budget[0] -= 1
             if budget[0] < 0:
                 raise CapExceeded(f"profile needs more than {piece_cap} pieces")
-            lo, hi = _window(t, eps, k, k0, k_end, r, lam_floor)
-            yield _End(hi, m)
-            yield _End(lo, -m)
-
-    def piece(lo, hi, value):
-        v = values.get(value)
-        if v is None:
-            v = values[value] = Fraction(value, denom)
-        return lo.pt, hi.pt, v
+            lo, hi = _window(t, eps, k, k0, k_end, r, lam_floor, m)
+            yield hi
+            yield lo
 
     streams = [ends(t, m, k0, k_end)
-               for t, m, (k0, k_end) in zip(mu.atoms, mu.masses, windows)]
+               for t, m, (k0, k_end) in zip(mu.atoms, _mass_units(mu)[1], windows)]
     above = None
     value = 0
-    rep = _End(r, 0)
-    for end in heapq.merge(*streams, [_End(lam_floor, 0)]):
+    rep = _End(r, None, 0)
+    for end in heapq.merge(*streams, [_End(lam_floor, None, 0)]):
         if not rep < end:  # end <= rep as the ends descend: equal points
             if end.mid < rep.mid:
                 end.dm += rep.dm
@@ -186,11 +220,11 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
                 rep.dm += end.dm
             continue
         if above is not None:
-            yield piece(rep, above, value)
+            yield rep, above, value
         value += rep.dm
         above, rep = rep, end
     if above is not None:  # else lam_floor == r: no pieces
-        yield piece(rep, above, value)
+        yield rep, above, value
 
 
 @dataclass(eq=False)
@@ -199,10 +233,12 @@ class LambdaProfile:
 
     pieces, its arrangement, is built on first read: consecutive
     (lo, hi, value) with exact Point endpoints that partition
-    (lam_floor, r], ascending. Reading it raises CapExceeded when more
-    than piece_cap windows meet that range. Pieces below lam_floor are
-    discarded (the atom windows accumulate to 0 there), so the integral
-    is a certified lower bound for the full integral over (0, r].
+    (lam_floor, r], ascending. piece_count and csv_rows read the same
+    sweep's ends as doubles and build no Point. Reading any of them raises
+    CapExceeded when more than piece_cap windows meet that range. Pieces
+    below lam_floor are discarded (the atom windows accumulate to 0
+    there), so the integral is a certified lower bound for the full
+    integral over (0, r].
     """
 
     mu: DiscreteMeasure
@@ -217,16 +253,31 @@ class LambdaProfile:
         return self.mu.total_mass
 
     @cached_property
-    def pieces(self) -> list[tuple[Point, Point, Fraction]]:
+    def _ends(self) -> list[tuple[_End, _End, int]]:
+        """The arrangement as (lo, hi, value in units of 1/D), ascending."""
         if sum(k_end - k0 for k0, k_end in self.windows) > self.piece_cap:
             raise CapExceeded(f"profile needs more than {self.piece_cap} pieces")
-        pieces = list(_sweep(self.mu, self.eps, self.r, self.lam_floor,
-                             self.windows, self.piece_cap, {}))
-        pieces.reverse()
-        return pieces
+        ends = list(_sweep(self.mu, self.eps, self.r, self.lam_floor,
+                           self.windows, self.piece_cap))
+        ends.reverse()
+        return ends
+
+    def _values(self) -> dict[int, Fraction]:
+        """Each value of the arrangement, in units of 1/D, as a Fraction."""
+        denom = _mass_units(self.mu)[0]
+        return {v: Fraction(v, denom) for v in {v for _, _, v in self._ends}}
+
+    @cached_property
+    def pieces(self) -> list[tuple[Point, Point, Fraction]]:
+        values = self._values()
+        return [(lo.pt, hi.pt, values[v]) for lo, hi, v in self._ends]
+
+    @property
+    def piece_count(self) -> int:
+        return len(self._ends)
 
     def max_value(self) -> Fraction:
-        return max((v for _, _, v in self.pieces), default=Fraction(0))
+        return max(self._values().values(), default=Fraction(0))
 
     def integral_bounds(self, bits: int = 128) -> tuple[Fraction, Fraction]:
         """Certified enclosure of the integral, sum_i m_i |W_i|, where W_i
@@ -244,10 +295,10 @@ class LambdaProfile:
             if k_end <= k0:
                 continue
             lo, hi = _window(t, self.eps, k0, k0, k_end, self.r, self.lam_floor)
-            ends = hi - lo
+            ends = hi.pt - lo.pt
             if k_end - 1 > k0:
                 lo, hi = _window(t, self.eps, k_end - 1, k0, k_end, self.r, self.lam_floor)
-                ends = ends + (hi - lo)
+                ends = ends + (hi.pt - lo.pt)
             inner = range(k0 + 1, k_end - 1)
             s = sum(num // ((k * d + n) * ((k + 1) * d - n)) for k in inner)
             e_lo, e_hi = ends.enclosure(bits)
@@ -271,9 +322,12 @@ class LambdaProfile:
             bits = min(bits * 2, cap)
 
     def csv_rows(self):
+        """The header, then (lo, hi, value) per piece, ascending; lo and hi
+        are the ends' float midpoints, which are float() of the Points."""
         yield ("piece_lo", "piece_hi", "value")
-        for lo, hi, v in self.pieces:
-            yield (repr(float(lo)), repr(float(hi)), fraction_str(v))
+        values = {v: fraction_str(q) for v, q in self._values().items()}
+        for lo, hi, v in self._ends:
+            yield (repr(lo.mid), repr(hi.mid), values[v])
 
 
 def _windows(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point):
@@ -287,7 +341,7 @@ def lambda_profile(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
     when its pieces are first read."""
     eps = parse_fraction(eps)
     delta = parse_fraction(delta)
-    _check_params(eps, delta)
+    _check_params(eps, delta, floor_scale)
     r = cutoff_r(mu, eps, delta)
     lam_floor = r * Fraction(1, floor_scale)
     return LambdaProfile(mu=mu, eps=eps, r=r, lam_floor=lam_floor,
@@ -386,13 +440,20 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
     """
     eps = parse_fraction(eps)
     delta = parse_fraction(delta)
-    _check_params(eps, delta)
+    _check_params(eps, delta, floor_scale)
     total = mu.total_mass
     threshold = (1 - 3 * eps) * total
     r = cutoff_r(mu, eps, delta)
+    # piece values are integers in units of 1/D: a value v qualifies when
+    # v > threshold * D, that is v > above, and has full mass when v == full
+    denom = _mass_units(mu)[0]
+    above = math.floor(threshold * denom)
+    full = int(total * denom)
     failures = []
 
-    def probe(lo, hi, val):
+    def probe(lo, hi, v):
+        val = Fraction(v, denom)
+        lo, hi = lo.pt, hi.pt
         lam = _rational_inside(lo, hi)
         direct = window_value(mu, eps, lam)
         if direct != val:
@@ -413,22 +474,22 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
     scale = floor_scale
     for _ in range(max_retries + 1):
         lam_floor = r * Fraction(1, scale)
-        values = {}
-        sweep = _sweep(mu, eps, r, lam_floor, _windows(mu, eps, r, lam_floor),
-                       piece_cap, values)
-        pieces = probes = 0
+        sweep = _sweep(mu, eps, r, lam_floor, _windows(mu, eps, r, lam_floor), piece_cap)
+        pieces = probes = top = 0
         ranked = {}  # value -> its first qualifying pieces, lam descending
-        for lo, hi, val in sweep:
+        for lo, hi, v in sweep:
             pieces += 1
-            if val > threshold:
-                if val != total:
-                    group = ranked.get(val)
+            if v > top:
+                top = v
+            if v > above:
+                if v != full:
+                    group = ranked.get(v)
                     if group is None:
-                        group = ranked[val] = []
+                        group = ranked[v] = []
                     if len(group) < candidate_cap:
-                        group.append((lo, hi, val))
+                        group.append((lo, hi, v))
                     continue
-                found = probe(lo, hi, val)
+                found = probe(lo, hi, v)
                 if found:
                     return found
                 probes += 1
@@ -436,21 +497,25 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
                     break
         else:
             rest = [pc for v in sorted(ranked, reverse=True) for pc in ranked[v]]
-            for lo, hi, val in rest[:candidate_cap - probes]:
-                found = probe(lo, hi, val)
+            for lo, hi, v in rest[:candidate_cap - probes]:
+                found = probe(lo, hi, v)
                 if found:
                     return found
         # nothing qualified (or constraints rejected everything): lower the
         # floor, which only adds smaller-lam pieces, and scan again
         scale *= 16
     # the diagnostics describe the last attempt's whole arrangement; if it
-    # stopped at candidate_cap, its sweep goes on to the floor
-    pieces += sum(1 for _ in sweep)
+    # stopped at candidate_cap, its sweep goes on to the floor (on doubles:
+    # no Point is built for the pieces it passes)
+    for _, _, v in sweep:
+        pieces += 1
+        if v > top:
+            top = v
     raise LambdaNotFound(
         f"no piece with value above {threshold} satisfied the constraints",
         diagnostics={
             "threshold": fraction_str(threshold),
-            "max_piece_value": fraction_str(max(values.values(), default=Fraction(0))),
+            "max_piece_value": fraction_str(Fraction(top, denom)),
             "pieces": pieces,
             "constraint_failures": failures[:20],
         })

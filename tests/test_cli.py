@@ -211,6 +211,17 @@ def test_lattice_count_level_below_one_exit_3(tmp_path, capsys, m):
     assert f"m = {m}" in err
 
 
+@pytest.mark.parametrize("floor_scale", [0, -3])
+def test_find_lambda_floor_scale_below_one_exit_3(tmp_path, capsys, floor_scale):
+    # floor_scale 0 or below is a config error: not a division by zero
+    # (exit 4), nor a negative floor whose window search never ends
+    write_config(tmp_path, params={"floor_scale": floor_scale})
+    capsys.readouterr()
+    assert run(tmp_path, "find-lambda") == 3
+    err = capsys.readouterr().err
+    assert err == f"config error: floor_scale must be a positive integer, got {floor_scale}\n"
+
+
 def test_corrupted_witness_exit_1(config):
     assert run(config, "build-witness") == 0
     blob = json.loads((config / "out" / "witness.json").read_text())

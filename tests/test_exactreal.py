@@ -13,7 +13,8 @@ from sweepout.errors import PrecisionExhausted
 from sweepout.exactreal import (Generator, GeneratorBasis, IntervalSet, Point,
                                 PointSet, bisect_points, compare,
                                 decimal_enclosure_str, floor_point, min_gap,
-                                parse_fraction, reduce_mod1, sort_points)
+                                parse_fraction, reduce_mod1, scaled_approx,
+                                sort_points)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 
@@ -364,6 +365,24 @@ def test_point_ints_match_fraction_oracle():
                           F(rng.randint(-9, 9), rng.randint(1, 9))))
         for c1, c2, q in cases:
             _check_against_oracle(basis, c1, c2, q)
+
+
+def test_scaled_approx_covers_its_input_enclosure():
+    # every x in [m - r, m + r] times a/b lies in the returned enclosure;
+    # with r = 0 only the two rounding terms (of a/b and of the product)
+    # cover the result, and each alone is too small for some cases
+    rng = random.Random(8)
+    for i in range(4000):
+        m = rng.uniform(-4.0, 4.0) * 2.0 ** rng.randint(-1000, 60)
+        r = 0.0 if i % 2 else abs(m) * rng.uniform(0, 1e-12)
+        a, b = rng.randint(-10**6, 10**6), rng.randint(1, 10**6)
+        qm, qr = scaled_approx((m, r), a, b)
+        for x in (F(m) - F(r), F(m) + F(r)):
+            assert F(qm) - F(qr) <= x * F(a, b) <= F(qm) + F(qr), (m, r, a, b)
+    # Point.__mul__ carries exactly these doubles
+    p = GeneratorBasis.from_specs(["sqrt:2"]).point(["1/3", "2/7"])
+    apx = p.approx()
+    assert (p * F(5, 11))._approx == scaled_approx(apx, 5, 11)
 
 
 @given(st.sampled_from(_ORACLE_BASES), st.data())

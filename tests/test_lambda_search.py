@@ -5,12 +5,13 @@ from functools import cmp_to_key
 
 import pytest
 
+from sweepout import lambda_search
 from sweepout.errors import CapExceeded, LambdaNotFound
-from sweepout.exactreal import GeneratorBasis, compare, fraction_str
+from sweepout.exactreal import GeneratorBasis, Point, compare, fraction_str
 from sweepout.lambda_search import (LambdaResult, WindowConstraints,
-                                    _rational_inside, cutoff_r, find_lambda,
-                                    frac_window_sets, lambda_profile,
-                                    window_value)
+                                    _rational_inside, _window, _window_range,
+                                    cutoff_r, find_lambda, frac_window_sets,
+                                    lambda_profile, window_value)
 from sweepout.measures import DiscreteMeasure
 
 
@@ -353,3 +354,123 @@ def test_deep_floor(mu_pair):
     assert deep.to_json() == shallow.to_json()
     with pytest.raises(CapExceeded):
         lambda_profile(mu_pair, eps, delta, floor_scale=10**5).pieces
+
+
+# ---------------------------------------------------------------------------
+# window ends kept as doubles; Points only where they are read
+# ---------------------------------------------------------------------------
+
+def _bits(apx):
+    return tuple(x.hex() for x in apx)
+
+
+def test_lazy_ends_carry_the_product_doubles(rat_basis, surd_basis):
+    # each end's (mid, rad) is bit for bit the approximation that the Point
+    # t * a/b gets from Point.__mul__; clipped ends are r and the floor
+    rng = random.Random(97)
+    tiny = F(1, 2**1000)
+    clipped = 0
+    for i in range(60):
+        kind = i % 3
+        a = F(rng.randint(30, 90), 100)
+        if kind == 0:
+            atoms = [rat_basis.rational(a)]
+        elif kind == 1:
+            atoms = [surd_basis.point(["0", a / 3, F(rng.randint(0, 20), 100)])]
+        else:
+            atoms = [rat_basis.rational(a * tiny)]
+        atoms.append(atoms[0] * F(rng.randint(31, 99), 100))
+        mu = DiscreteMeasure(atoms, [F(1, 2), F(1, 2)])
+        eps = F(rng.randint(3, 9), rng.choice((30, 31, 32)))
+        r = cutoff_r(mu, eps, F(rng.randint(1, 40), 40))
+        lam_floor = r * F(1, rng.choice((2, 4, 8)))
+        for t in atoms:
+            k0, k_end = _window_range(t, eps, r, lam_floor)
+            for k in range(k0, k_end):
+                for end in _window(t, eps, k, k0, k_end, r, lam_floor):
+                    if end.q is None:
+                        clipped += 1
+                        assert end.t is r or end.t is lam_floor
+                        assert end.pt is end.t
+                        assert _bits((end.mid, end.rad)) == _bits(end.t.approx())
+                        continue
+                    want = t * F(*end.q)
+                    assert _bits((end.mid, end.rad)) == _bits(want.approx())
+                    assert end.pt.key == want.key
+                    assert _bits(end.pt.approx()) == _bits(want.approx())
+    assert clipped > 0
+
+
+def test_csv_rows_read_the_ends(rat_basis, surd_basis):
+    # the CSV is written from the ends; it prints exactly float() of the
+    # Points that pieces builds (floor_scale 1 included: no rows)
+    cases = _oracle_cases(rat_basis, surd_basis)
+    for mu, eps, delta, kw in cases[:80] + cases[200:]:
+        prof = lambda_profile(mu, eps, delta, floor_scale=kw["floor_scale"])
+        rows = list(prof.csv_rows())
+        assert prof.piece_count == len(rows) - 1
+        assert rows[1:] == [(repr(float(lo)), repr(float(hi)), fraction_str(v))
+                            for lo, hi, v in prof.pieces]
+        assert prof.max_value() == max((v for _, _, v in prof.pieces), default=0)
+
+
+@pytest.mark.parametrize("masses, eps, at_threshold", [
+    # threshold = 1/4 of the mass, D = 4: threshold * D = 1 is an integer,
+    # and the pieces where only the lighter atom is active sit exactly on it
+    ([F(1, 4), F(3, 4)], F(1, 4), True),
+    # threshold = 1/10, D = 3: threshold * D = 3/10; pieces of value 1/3
+    # (v = 1) lie above it
+    ([F(1, 3), F(1, 3), F(1, 3)], F(3, 10), False),
+])
+def test_find_lambda_probes_exactly_the_values_above_threshold(
+        rat_basis, monkeypatch, masses, eps, at_threshold):
+    atoms = [rat_basis.rational(F(k * 13, 100)) for k in range(1, len(masses) + 1)]
+    mu = DiscreteMeasure(atoms, masses)
+    threshold = (1 - 3 * eps) * mu.total_mass
+    delta, floor_scale = F(9, 20), 4
+    values = {v for _, _, v in lambda_profile(mu, eps, delta, floor_scale=floor_scale).pieces}
+    assert (threshold in values) is at_threshold
+    probed = []
+    direct = lambda_search.window_value
+
+    def recorded(mu, eps, lam):
+        probed.append(direct(mu, eps, lam))
+        return probed[-1]
+
+    monkeypatch.setattr(lambda_search, "window_value", recorded)
+    # x_1 below every lam: each probed piece is rejected, so all are probed
+    cons = WindowConstraints(x_1=rat_basis.rational(F(1, 10**9)), x_l=mu.x_l)
+    with pytest.raises(LambdaNotFound) as exc:
+        find_lambda(mu, eps, delta, constraints=cons, floor_scale=floor_scale,
+                    max_retries=0, candidate_cap=10**6)
+    assert set(probed) == {v for v in values if v > threshold}
+    assert len(exc.value.diagnostics["constraint_failures"]) == min(len(probed), 20)
+    assert F(exc.value.diagnostics["max_piece_value"]) == max(values)
+
+
+def test_find_lambda_builds_few_points(rat_basis, monkeypatch):
+    # the floor-200 sweep passes about 5,600 windows of this {a, 2a, 3a}
+    # measure; only ends that are read (overlaps, clipping, the probed
+    # piece) and the checks around the search build Points
+    mu = DiscreteMeasure([rat_basis.rational(F(13, 100)), rat_basis.rational(F(13, 50)),
+                          rat_basis.rational(F(39, 100))], [F(1, 3)] * 3)
+    built = [0]
+    init = Point.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Point, "__init__", counted)
+    res = find_lambda(mu, F(3, 10), F(9, 20), floor_scale=200)
+    assert res.value == F(2, 3)
+    assert built[0] < 200, built[0]
+
+
+@pytest.mark.parametrize("floor_scale", [0, -3])
+def test_floor_scale_below_one_rejected(single_atom, floor_scale):
+    # 0 would divide by zero and a negative floor never ends the window
+    # range search: both are rejected before any window is built
+    for call in (find_lambda, lambda_profile):
+        with pytest.raises(ValueError, match="floor_scale must be a positive integer"):
+            call(single_atom, F(1, 4), F(1, 10), floor_scale=floor_scale)
