@@ -97,6 +97,23 @@ def _point_param(basis, params, name, required=False) -> Point | None:
         raise ConfigError(f"parameter {name} is not a point: {raw!r}")
 
 
+def _measure_index(seq: MeasureSequence, raw) -> int:
+    """A measure_index parameter, checked against the config's measures (a
+    negative index would silently count from the end)."""
+    idx = int(raw)
+    if not 0 <= idx < len(seq):
+        raise ConfigError(f"measure_index must lie in [0, {len(seq)}), got {idx}")
+    return idx
+
+
+def _trim_points(raw) -> int:
+    """A trim_points parameter: a factor is trimmed to at least one point."""
+    n = int(raw)
+    if n < 1:
+        raise ConfigError(f"trim_points must be a positive integer, got {n}")
+    return n
+
+
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     # one dumps and one write: json.dump with indent writes every chunk
@@ -130,7 +147,7 @@ def _report(command: str, args, cfg: dict, results: dict, status: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_decompose(args, cfg, basis, seq, params, out):
-    idx = int(_param(params, "measure_index", 0))
+    idx = _measure_index(seq, _param(params, "measure_index", 0))
     spec = decompose(seq[idx].support())
     _write_json(out / "lattice_spec.json", spec.to_json())
     return {"measure_index": idx, "nu": spec.nu, "p": spec.p, "tau": spec.tau,
@@ -138,7 +155,7 @@ def _cmd_decompose(args, cfg, basis, seq, params, out):
 
 
 def _cmd_lattice_count(args, cfg, basis, seq, params, out):
-    idx = int(_param(params, "measure_index", 0))
+    idx = _measure_index(seq, _param(params, "measure_index", 0))
     spec = decompose(seq[idx].support())
     lo = _point_param(basis, params, "interval_lo", required=True)
     hi = _point_param(basis, params, "interval_hi", required=True)
@@ -156,7 +173,7 @@ def _cmd_lattice_count(args, cfg, basis, seq, params, out):
 
 
 def _cmd_find_lambda(args, cfg, basis, seq, params, out):
-    idx = int(_param(params, "measure_index", 0))
+    idx = _measure_index(seq, _param(params, "measure_index", 0))
     mu = seq[idx]
     eps = _frac_param(params, "epsilon", required=True)
     delta = _frac_param(params, "delta", required=True)
@@ -170,7 +187,7 @@ def _cmd_find_lambda(args, cfg, basis, seq, params, out):
 
 
 def _cmd_build_eg(args, cfg, basis, seq, params, out):
-    idx = int(_param(params, "measure_index", 0))
+    idx = _measure_index(seq, _param(params, "measure_index", 0))
     mu = seq[idx]
     eps = _frac_param(params, "epsilon", required=True)
     m_max = int(_param(params, "m_max", 64))
@@ -199,14 +216,17 @@ def _build_witness_from_params(seq, params):
 
 
 def _cmd_build_witness(args, cfg, basis, seq, params, out):
+    # absent or 0: no trimming
+    trim_to = int(_param(params, "trim_points") or 0)
+    if trim_to:
+        trim_to = _trim_points(trim_to)
     w = _build_witness_from_params(seq, params)
     _write_json(out / "witness.json", w.to_json())
     results = {"m": w.m, "indices": w.indices, "count_E": w.count_E,
                "count_G": w.count_G,
                "ratio": repr(float(Fraction(w.count_E, w.count_G)))}
-    trim_to = _param(params, "trim_points")
     if trim_to:
-        wt = trim_witness(w, seq, max_points=int(trim_to))
+        wt = trim_witness(w, seq, max_points=trim_to)
         _write_json(out / "witness_trimmed.json", wt.to_json())
         results["trimmed"] = {"count_E": wt.count_E, "count_G": wt.count_G}
     return results
@@ -245,7 +265,7 @@ def _cmd_trace(args, cfg, basis, seq, params, out):
     schedule = _param(params, "schedule", required=True)
     pairs = [(parse_fraction(a), parse_fraction(b)) for a, b in schedule]
     traces = oscillation_trace(
-        seq, pairs, trim_points=int(_param(params, "trim_points", 4)),
+        seq, pairs, trim_points=_trim_points(_param(params, "trim_points", 4)),
         max_sample_points=int(_param(params, "max_sample_points", 24)),
         m_cap=int(_param(params, "m_cap", 64)))
     rows = [("entry", "n", "point_id", "value", "running_max", "running_min")]
@@ -257,6 +277,9 @@ def _cmd_trace(args, cfg, basis, seq, params, out):
 
 
 def _cmd_check_conditions(args, cfg, basis, seq, params, out):
+    cheb = _param(params, "chebyshev")
+    if cheb:
+        cheb_idx = _measure_index(seq, cheb.get("measure_index", 0))
     deltas = [parse_fraction(d) for d in _param(params, "deltas", ["1/10", "1/100"])]
     tail = parse_fraction(_param(params, "tail_ratio", "999/1000"))
     mass_tol = parse_fraction(_param(params, "mass_tol", "1/1000"))
@@ -268,9 +291,8 @@ def _cmd_check_conditions(args, cfg, basis, seq, params, out):
                          repr(float(rep.masses[n]))))
     _write_csv(out / "condition1.csv", rows)
     results = {"condition_1": rep.to_json()}
-    cheb = _param(params, "chebyshev")
     if cheb:
-        mu = seq[int(cheb.get("measure_index", 0))]
+        mu = seq[cheb_idx]
         lo = Point.from_json(basis, cheb["interval_lo"])
         hi = Point.from_json(basis, cheb["interval_hi"])
         from .exactreal import IntervalSet

@@ -21,7 +21,8 @@ PrecisionExhausted rather than guessing.
 
 Lists of Points are ordered and searched by the same filter-then-exact
 rule: sort_points orders by the cached float enclosures and sorts exactly
-only inside clusters whose enclosures cannot be separated, and
+only inside clusters whose enclosures cannot be separated (the cut of
+certified_clusters, which the lambda sweep uses too), and
 bisect_points decides each probe by the float test and calls compare only
 when it overlaps. Never sort or bisect Points through __lt__.
 
@@ -35,9 +36,10 @@ from __future__ import annotations
 import math
 import operator
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import repeat
+from itertools import accumulate, compress, islice, repeat
 from typing import Iterable, Sequence
 
 from .errors import PrecisionExhausted
@@ -505,46 +507,68 @@ def compare(a: Point, b: Point) -> int:
     return (a - b).sign()
 
 
+def certified_clusters(apx: Sequence[tuple[float, float]], limit: float = math.inf
+                       ) -> tuple[list[int], list[list[int]], int]:
+    """Order (midpoint, radius) pairs in certified clusters: (order, runs,
+    done).
+
+    Each pair (m, r) gives the interval [m - 4r, m + 4r], widened by the
+    margin of compare. order lists the indices by lower end (one float
+    sort). A cluster ends wherever the next lower end exceeds every upper
+    end before it by more than 1e-300, as in compare, so every value of a
+    cluster lies below every value of the clusters after it. runs lists
+    the clusters of two or more, the only ones that need an exact
+    comparison, as position ranges [start, stop) of order; every other
+    position is a cluster of its own. The first done positions of order
+    make up the clusters whose upper ends all lie below limit (all of
+    them when limit is inf). The running maxima and the cut tests are
+    C-level passes: only the positions inside runs meet a Python loop.
+    """
+    n = len(apx)
+    los = [m - 4.0 * r for m, r in apx]
+    order = sorted(range(n), key=los.__getitem__)
+    his = [m + 4.0 * r for m, r in apx]
+    high = list(accumulate(map(his.__getitem__, order), max))
+    # position k starts a cluster when its lower end lies more than 1e-300
+    # above high[k - 1]; otherwise it joins the cluster of k - 1
+    cut = map(operator.gt, map(los.__getitem__, islice(order, 1, None)),
+              map(operator.add, high, repeat(1e-300)))
+    runs = []
+    for k in compress(range(1, n), map(operator.not_, cut)):
+        if runs and runs[-1][1] == k:
+            runs[-1][1] = k + 1
+        else:
+            runs.append([k - 1, k + 1])
+    done = bisect_left(high, limit)  # positions before it lie below limit
+    while runs and runs[-1][1] > done:  # a cluster across done is not below limit
+        done = min(done, runs.pop()[0])
+    return order, runs, done
+
+
 def sort_points(items, key=None) -> list:
     """Stable exact sort of Points (of key(item) when key is given).
 
     The result equals sorted(items, key=cmp_to_key(compare)) composed
-    with key, duplicates in input order. Each point's cached approx()
-    gives an interval [m - 4r, m + 4r], widened by the margin of compare.
-    Sorted by their lower ends, the points are cut wherever the next
-    lower end lies above every upper end before it (by more than 1e-300,
-    as in compare), so every point before the cut is certified below
-    every point after it. Only the clusters between cuts are sorted
-    exactly, in input order.
+    with key, duplicates in input order. The points' cached approx() are
+    ordered by certified_clusters; only the clusters of two or more are
+    sorted exactly, in input order.
     """
     items = list(items)
     pts = items if key is None else [key(it) for it in items]
-    n = len(pts)
-    if n < 2:
+    if len(pts) < 2:
         return items
     basis = pts[0].basis
-    los = []
+    apx = []
     for p in pts:
         if p.basis is not basis and p.basis != basis:
             raise ValueError("points over different bases")
-        m, r = p.approx()
-        los.append(m - 4.0 * r)
-    order = sorted(range(n), key=los.__getitem__)
-    out = []
-    start = 0
-    high = -math.inf
-    for k, i in enumerate(order):
-        m, r = pts[i]._approx
-        high = max(high, m + 4.0 * r)
-        if k + 1 < n and not los[order[k + 1]] > high + 1e-300:
-            continue
-        cluster = order[start:k + 1]
-        if len(cluster) > 1:
-            cluster.sort()
-            cluster.sort(key=cmp_to_key(lambda a, b: compare(pts[a], pts[b])))
-        out.extend(items[i] for i in cluster)
-        start = k + 1
-    return out
+        apx.append(p.approx())
+    order, runs, _ = certified_clusters(apx)
+    for start, stop in runs:
+        cluster = sorted(order[start:stop])
+        cluster.sort(key=cmp_to_key(lambda a, b: compare(pts[a], pts[b])))
+        order[start:stop] = cluster
+    return list(map(items.__getitem__, order))
 
 
 def bisect_points(pts: Sequence[Point], x: Point, right: bool = False) -> int:

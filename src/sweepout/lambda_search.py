@@ -9,15 +9,21 @@ windows (x_i/(k+1-eps), x_i/(k+eps)), k = 0, 1, 2, ...  Averaging over
 lam in (0, r], r = min(eps*x_1 / (2(1-eps)), delta), the mean value
 exceeds (1 - 3 eps) * |mu|, so some piece must too.
 
-One top-down sweep walks that step function from r to a floor: a heapq
-merge of the atoms' window streams, in exact order, yields its pieces
-(lo, hi, value) by decreasing lam. The window ends are doubles: an end
-keeps its atom t and the ratio a/b with end t * a/b, and the enclosure
-that the Point t * a/b would carry (exactreal.scaled_approx). Its exact
-Point is built only where it is read: when two ends' enclosures overlap
-in the merge, in the clipping tests against r and the floor, for a probed
-piece, and for LambdaProfile.pieces. Piece values are integers in units
-of 1/D, D the lcm of the mass denominators.
+One top-down sweep walks that step function from r to a floor and yields
+its pieces (lo, hi, value) by decreasing lam. The window ends are
+doubles: an end keeps its atom t and the ratio a/b with end t * a/b, and
+the enclosure that the Point t * a/b would carry (exactreal.scaled_approx).
+The sweep reads the ends in blocks, below double thresholds r * 0.9^j,
+orders each block by one float sort cut into certified clusters
+(exactreal.certified_clusters, the cut sort_points uses), and passes a
+cluster on once its lowest lower bound lies above the upper bound of
+every atom's next unread end: that end lies exactly above all of the
+atom's unread ends. An end's exact Point is built only where it is read:
+for the ends of a cluster of two or more, in the clipping tests against
+r and the floor, for a probed piece, for LambdaProfile.pieces, and below
+about 1e-300, where the radii swamp the values and the ends are ordered
+exactly. Piece values are integers in units of 1/D, D the lcm of the
+mass denominators.
 
 find_lambda probes the pieces of full mass |mu| as the sweep meets them.
 No piece exceeds |mu|, so these come first in its order (value, then
@@ -43,15 +49,17 @@ are dropped; they carry no measure and keep every set open).
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
+from operator import attrgetter
 
 from .errors import CapExceeded, LambdaNotFound, PrecisionExhausted
-from .exactreal import (IntervalSet, Point, compare, decimal_enclosure_str,
-                        floor_point, fraction_str, parse_fraction, scaled_approx)
+from .exactreal import (IntervalSet, Point, certified_clusters, compare,
+                        decimal_enclosure_str, floor_point, fraction_str,
+                        parse_fraction, scaled_approx)
 from .measures import DiscreteMeasure
 
 DEFAULT_FLOOR_SCALE = 10**4
@@ -133,26 +141,30 @@ class _End:
     The end is t * a/b for an atom t and a reduced ratio q = (a, b), or the
     Point t itself when q is None (r, the floor, and clipped ends). Its
     (mid, rad) come from t.approx() through scaled_approx, the doubles that
-    the Point t * a/b would carry. The exact Point, pt, is built only when
-    read: when two ends' enclosures overlap in the heap order, for the
-    clipping tests against r and the floor, for a probed piece and for
-    LambdaProfile.pieces. dm is the change of the step value there in units
-    of 1/D. The heap order puts larger ends first and is exact: the float
-    test decides unless the enclosures overlap, and equal points are the
-    only ends neither before nor after each other."""
+    the Point t * a/b would carry; mid - 4 rad and mid + 4 rad bound it as
+    in compare. The sweep reads ends in blocks and orders them by these
+    doubles. The exact Point, pt, is built only when read: for the ends of
+    a cluster of two or more in that order, for the clipping tests against
+    r and the floor, for a probed piece, for LambdaProfile.pieces, and for
+    every end below about 1e-300, where the sweep orders exactly. dm is
+    the change of the step value there in units of 1/D, and opens the
+    number of windows that the sweep enters when it passes this end (1 for
+    the lo end of a window with a successor; summed when ends merge)."""
 
-    __slots__ = ("t", "q", "_pt", "dm", "mid", "rad")
+    __slots__ = ("t", "q", "_pt", "dm", "opens", "mid", "rad")
 
     def __init__(self, t: Point, q: tuple[int, int] | None, dm: int):
         self.t = t
         self.q = q
         self.dm = dm
+        self.opens = 0
         if q is None:
             self._pt = t
             self.mid, self.rad = t.approx()
         else:
             self._pt = None
-            self.mid, self.rad = scaled_approx(t.approx(), *q)
+            a, b = q
+            self.mid, self.rad = scaled_approx(t.approx(), a, b)
 
     @property
     def pt(self) -> Point:
@@ -160,15 +172,6 @@ class _End:
         if pt is None:
             pt = self._pt = self.t.scaled(*self.q)
         return pt
-
-    def __lt__(self, other):
-        # compare()'s float test, inlined: calling compare() here, which
-        # first compares the bases and the coefficient tuples, made floor-200
-        # sweeps 20-30% slower (x86-64, Python 3.11)
-        d = self.mid - other.mid
-        if abs(d) > 4.0 * (self.rad + other.rad) + 1e-300:
-            return d > 0
-        return compare(self.pt, other.pt) > 0
 
 
 def _window(t: Point, eps: Fraction, k: int, k0: int, k_end: int,
@@ -187,44 +190,139 @@ def _window(t: Point, eps: Fraction, k: int, k0: int, k_end: int,
     return lo, hi
 
 
+def _merged(ends: list[_End]) -> list[_End]:
+    """The distinct points of a cluster of ends, descending, by exact
+    comparison. Equal ends merge: the one with the smallest midpoint (the
+    first of them on a tie) represents them, with their dm and opens
+    summed."""
+    # by midpoint first, so that the exact sort meets nearly sorted runs
+    # even where the radii swamp the values (below about 1e-300)
+    ends.sort(key=attrgetter("mid"), reverse=True)
+    ends.sort(key=cmp_to_key(lambda a, b: compare(b.pt, a.pt)))
+    out = [ends[0]]
+    for end in ends[1:]:
+        rep = out[-1]
+        if end.pt.key != rep.pt.key:  # reduced keys: equal exactly when equal points
+            out.append(end)
+            continue
+        if end.mid < rep.mid:
+            rep, end = end, rep
+            out[-1] = rep
+        rep.dm += end.dm
+        rep.opens += end.opens
+    return out
+
+
+def _descending(ends: list[_End], limit: float) -> tuple[list[_End], list[_End]]:
+    """(passed, rest): the clusters of ends whose lower bounds all lie
+    above limit, in exact descending order with equal ends merged, and the
+    other ends. The ends are negated so that certified_clusters ascends."""
+    order, runs, done = certified_clusters([(-e.mid, e.rad) for e in ends], -limit)
+    passed = [ends[i] for i in order[:done]]
+    rest = [ends[i] for i in order[done:]]
+    for start, stop in reversed(runs):  # merging shortens passed from here on
+        passed[start:stop] = _merged(passed[start:stop])
+    return passed, rest
+
+
+_BLOCK_RATIO = 0.9  # each block's lower threshold, as a fraction of its upper
+_BLOCK_READS = 64  # windows that one atom may read in one block
+
+
 def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
            windows, piece_cap: int):
     """The pieces (lo, hi, value) of the step function on (lam_floor, r],
     from r down: lo and hi are _Ends, value is in units of 1/D (see
-    _mass_units). Equal window ends are merged; of equal points the one
-    with the smallest float midpoint represents them (as an ascending sort
-    would keep it). Raises CapExceeded once more than piece_cap windows
-    have been entered."""
-    budget = [piece_cap]
+    _mass_units). Equal window ends are merged (see _merged). Raises
+    CapExceeded once more than piece_cap windows have been entered: each
+    atom's first window at the start, and the next one each time the
+    sweep passes the lo end of a window.
 
-    def ends(t, m, k0, k_end):
-        for k in range(k0, k_end):
-            budget[0] -= 1
-            if budget[0] < 0:
+    The ends are read in blocks below thresholds thr = r * 0.9^j, doubles:
+    each atom's cursor reads its windows while the midpoint of its next hi
+    end is at least thr, at most _BLOCK_READS of them (then the next block
+    keeps thr; a thr that underflows to 0 becomes -inf, so the rest is
+    read a block at a time). The block and the ends carried over are
+    ordered by one float sort and the certified cluster cut (_descending);
+    only clusters of two or more ends are compared exactly. A cluster is
+    passed only when its lowest lower bound lies more than 1e-300 above
+    the upper bound of every atom's next unread hi end, which lies exactly
+    above all of that atom's unread ends; the first cluster that is not,
+    and all after it, carry over. Below about 1e-300 the radii swamp the
+    values and no cluster passes: when a block read ends and passed none,
+    the ends exactly above every next unread hi end pass instead."""
+    n, d = eps.numerator, eps.denominator
+    budget = piece_cap
+    cursors = []  # per atom with windows left: [next hi end, t, dm, k, k_end]
+    for t, m, (k0, k_end) in zip(mu.atoms, _mass_units(mu)[1], windows):
+        if k0 < k_end:
+            budget -= 1
+            if budget < 0:
                 raise CapExceeded(f"profile needs more than {piece_cap} pieces")
-            lo, hi = _window(t, eps, k, k0, k_end, r, lam_floor, m)
-            yield hi
-            yield lo
-
-    streams = [ends(t, m, k0, k_end)
-               for t, m, (k0, k_end) in zip(mu.atoms, _mass_units(mu)[1], windows)]
+            hi = _End(t, (d, k0 * d + n), m)
+            if compare(hi.pt, r) > 0:
+                hi = _End(r, None, m)
+            cursors.append([hi, t, m, k0, k_end])
+    pending = [_End(r, None, 0)]
     above = None
     value = 0
-    rep = _End(r, None, 0)
-    for end in heapq.merge(*streams, [_End(lam_floor, None, 0)]):
-        if not rep < end:  # end <= rep as the ends descend: equal points
-            if end.mid < rep.mid:
-                end.dm += rep.dm
-                rep = end
+    thr = r.approx()[0]
+    capped = False
+    while True:
+        if not capped:
+            thr *= _BLOCK_RATIO
+            if not thr:  # below the doubles: read the rest, a block at a time
+                thr = -math.inf
+        capped = False
+        carried = len(pending)
+        bound = -math.inf
+        live = []
+        for cur in cursors:
+            hi, t, m, k, k_end = cur
+            last = k + _BLOCK_READS
+            while hi.mid >= thr and k < last:
+                lo = _End(t, (d, (k + 1) * d - n), -m)
+                k += 1
+                if k == k_end:
+                    if compare(lo.pt, lam_floor) < 0:
+                        lo = _End(lam_floor, None, -m)
+                    pending += (hi, lo)
+                    break
+                lo.opens = 1
+                pending += (hi, lo)
+                hi = _End(t, (d, k * d + n), m)
             else:
-                rep.dm += end.dm
-            continue
-        if above is not None:
-            yield rep, above, value
-        value += rep.dm
-        above, rep = rep, end
-    if above is not None:  # else lam_floor == r: no pieces
-        yield rep, above, value
+                capped = capped or hi.mid >= thr
+                cur[0] = hi
+                cur[3] = k
+                live.append(cur)
+                top = hi.mid + 4.0 * hi.rad
+                if top > bound:
+                    bound = top
+        cursors = live
+        if not cursors:
+            pending.append(_End(lam_floor, None, 0))
+        read = len(pending) > carried
+        passed, pending = _descending(pending, bound + 1e-300)
+        if not passed and read and cursors:
+            # the doubles separate nothing here: order the ends exactly and
+            # pass those exactly above every next unread hi end
+            unread = max((cur[0] for cur in cursors),
+                         key=cmp_to_key(lambda a, b: compare(a.pt, b.pt))).pt
+            ends, _ = _descending(pending, -math.inf)
+            cut = bisect_left(ends, True, key=lambda e: compare(e.pt, unread) <= 0)
+            passed, pending = ends[:cut], ends[cut:]
+        for end in passed:
+            if end.opens:
+                budget -= end.opens
+                if budget < 0:
+                    raise CapExceeded(f"profile needs more than {piece_cap} pieces")
+            if above is not None:
+                yield end, above, value
+            value += end.dm
+            above = end
+        if not cursors:  # the floor was the last end: nothing is left
+            return
 
 
 @dataclass(eq=False)
@@ -555,9 +653,11 @@ def frac_window_sets(lam: Fraction, eps: Fraction, x_l: Point,
     u_parts = []
     v_parts = []
     for j in range(-span, span + 1):
-        u = clipped(lam * j, lam * (j + eps), neg, zero)
-        if u:
-            u_parts.append(u)
+        # a window with j >= 0 starts at or above 0: nothing of it is in U
+        if j < 0:
+            u = clipped(lam * j, lam * (j + eps), neg, zero)
+            if u:
+                u_parts.append(u)
         v = clipped(lam * (j + eps), lam * (j + 1), neg, x_l)
         if v:
             v_parts.append(v)

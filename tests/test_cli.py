@@ -407,3 +407,51 @@ def test_internal_error_exit_4(config, capsys, monkeypatch):
     assert rep["status"] == "internal-error"
     assert rep["results"]["error"].startswith("AssertionError: ")
     assert "in find_lambda" in "\n".join(rep["results"]["traceback"])
+
+
+_CHEBYSHEV = {"interval_lo": "1/10", "interval_hi": "1/5", "epsilon": "1/4"}
+
+
+@pytest.mark.parametrize("command, params, index", [
+    ("decompose", {"measure_index": -12}, -12),
+    ("lattice-count", {"measure_index": -2}, -2),
+    ("find-lambda", {"measure_index": -1}, -1),
+    ("build-eg", {"measure_index": -1}, -1),
+    ("build-eg", {"measure_index": 12}, 12),
+    ("decompose", {"measure_index": 99}, 99),
+    ("check-conditions", {"chebyshev": {**_CHEBYSHEV, "measure_index": -1}}, -1),
+])
+def test_measure_index_out_of_range_exit_3(tmp_path, capsys, command, params, index):
+    # a negative index must not pick a measure from the end, and one past
+    # the end must say which index is wrong
+    write_config(tmp_path, params=params)
+    capsys.readouterr()
+    assert run(tmp_path, command) == 3
+    err = capsys.readouterr().err
+    assert err == f"config error: measure_index must lie in [0, 12), got {index}\n"
+
+
+@pytest.mark.parametrize("command, trim", [
+    ("build-witness", -1), ("trace", 0), ("trace", -1)])
+def test_trim_points_below_one_exit_3(tmp_path, capsys, command, trim):
+    # no factor trims to fewer than one point: a config error, not a
+    # failed certificate
+    write_config(tmp_path, params={"trim_points": trim})
+    capsys.readouterr()
+    assert run(tmp_path, command) == 3
+    err = capsys.readouterr().err
+    assert err == f"config error: trim_points must be a positive integer, got {trim}\n"
+
+
+def test_build_witness_trim_points_zero_and_one(tmp_path):
+    # 0 asks for no trimming; on the demo config one point cannot carry the
+    # first factor's mass, which is a certified failure (exit 1)
+    cfg = json.loads(DEMO_CONFIG.read_text())
+    for trim, code in ((0, 0), (1, 1)):
+        cfg["params"]["trim_points"] = trim
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert run(tmp_path, "build-witness", out=f"trim{trim}") == code
+    assert not (tmp_path / "trim0" / "witness_trimmed.json").exists()
+    rep = report(tmp_path, "build-witness", out="trim1")
+    assert rep["status"] == "verification-failed"
+    assert rep["results"]["error"] == "cannot trim factor at measure 0 to 1 points"

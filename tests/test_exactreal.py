@@ -489,6 +489,32 @@ def test_sort_points_matches_cmp_sort(monkeypatch):
     assert got == _cmp_sorted(pairs, key=lambda t: t[1])
 
 
+def test_certified_clusters_cut_rule():
+    # the rule itself: sorted by lower end, a cluster ends wherever the
+    # next lower end exceeds every upper end before it by more than 1e-300;
+    # done ends the last cluster whose upper ends, and all before them,
+    # lie below limit
+    rng = random.Random(19)
+    for _ in range(400):
+        apx = [(rng.choice((rng.uniform(-1, 1), 0.25, 1e-301)),
+                rng.choice((0.0, 1e-17, 1e-300, rng.uniform(0, 0.05))))
+               for _ in range(rng.randint(0, 30))]
+        limit = rng.choice((math.inf, rng.uniform(-1, 1), 1e-300))
+        order, runs, done = exactreal.certified_clusters(apx, limit)
+        n = len(apx)
+        los = [m - 4.0 * r for m, r in apx]
+        his = [m + 4.0 * r for m, r in apx]
+        assert sorted(order) == list(range(n))
+        assert [los[i] for i in order] == sorted(los)
+        starts = [k for k in range(n)
+                  if k == 0 or los[order[k]] > max(his[i] for i in order[:k]) + 1e-300]
+        bounds = starts + [n]
+        want_done = max(b for b in bounds if all(his[i] < limit for i in order[:b]))
+        assert done == want_done
+        assert runs == [[a, b] for a, b in zip(bounds, bounds[1:])
+                        if b - a > 1 and b <= done]
+
+
 def test_sort_points_precision_exhausted_on_coarse_basis():
     # dec:0.7071@12 declares g to within 2^-12, so Points whose
     # difference has a g coefficient may be inseparable

@@ -1,3 +1,4 @@
+import heapq
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -8,9 +9,10 @@ import pytest
 from sweepout import lambda_search
 from sweepout.errors import CapExceeded, LambdaNotFound
 from sweepout.exactreal import GeneratorBasis, Point, compare, fraction_str
-from sweepout.lambda_search import (LambdaResult, WindowConstraints,
-                                    _rational_inside, _window, _window_range,
-                                    cutoff_r, find_lambda, frac_window_sets,
+from sweepout.lambda_search import (LambdaResult, WindowConstraints, _End,
+                                    _mass_units, _rational_inside, _sweep,
+                                    _window, _window_range, _windows, cutoff_r,
+                                    find_lambda, frac_window_sets,
                                     lambda_profile, window_value)
 from sweepout.measures import DiscreteMeasure
 
@@ -474,3 +476,204 @@ def test_floor_scale_below_one_rejected(single_atom, floor_scale):
     for call in (find_lambda, lambda_profile):
         with pytest.raises(ValueError, match="floor_scale must be a positive integer"):
             call(single_atom, F(1, 4), F(1, 10), floor_scale=floor_scale)
+
+
+# ---------------------------------------------------------------------------
+# the block sweep against the heap merge it replaced
+# ---------------------------------------------------------------------------
+
+class _HeapKey:
+    """The heap merge's order of ends: larger ends first, decided by the
+    float filter of compare, and by compare where the enclosures overlap."""
+
+    __slots__ = ("end",)
+
+    def __init__(self, end):
+        self.end = end
+
+    def __lt__(self, other):
+        a, b = self.end, other.end
+        d = a.mid - b.mid
+        if abs(d) > 4.0 * (a.rad + b.rad) + 1e-300:
+            return d > 0
+        return compare(a.pt, b.pt) > 0
+
+
+def _heap_sweep(mu, eps, r, lam_floor, windows, piece_cap):
+    """The reference sweep: a heapq merge of each atom's window stream, from
+    r down, equal ends merged (of equal points the one with the smallest
+    midpoint represents them); a stream enters its first window at the
+    start and the next one when its lo end is passed, and CapExceeded is
+    raised once more than piece_cap windows have been entered."""
+    budget = [piece_cap]
+
+    def ends(t, m, k0, k_end):
+        for k in range(k0, k_end):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise CapExceeded(f"profile needs more than {piece_cap} pieces")
+            lo, hi = _window(t, eps, k, k0, k_end, r, lam_floor, m)
+            yield hi
+            yield lo
+
+    streams = [ends(t, m, k0, k_end)
+               for t, m, (k0, k_end) in zip(mu.atoms, _mass_units(mu)[1], windows)]
+    above = None
+    value = 0
+    rep = _End(r, None, 0)
+    for end in heapq.merge(*streams, [_End(lam_floor, None, 0)], key=_HeapKey):
+        if not _HeapKey(rep) < _HeapKey(end):  # end <= rep as the ends descend
+            if end.mid < rep.mid:
+                end.dm += rep.dm
+                rep = end
+            else:
+                rep.dm += end.dm
+            continue
+        if above is not None:
+            yield rep, above, value
+        value += rep.dm
+        above, rep = rep, end
+    if above is not None:
+        yield rep, above, value
+
+
+def _trace(sweep, mu, eps, r, lam_floor, piece_cap):
+    """Every piece as (lo midpoint, hi midpoint, lo key, hi key, value), then
+    the CapExceeded message if the sweep raised one."""
+    out = []
+    try:
+        for lo, hi, v in sweep(mu, eps, r, lam_floor, _windows(mu, eps, r, lam_floor),
+                               piece_cap):
+            out.append((repr(lo.mid), repr(hi.mid), lo.pt.key, hi.pt.key, v))
+    except CapExceeded as exc:
+        out.append(("CapExceeded", str(exc)))
+    return out
+
+
+def _sweep_cases(rat_basis, surd_basis, count):
+    """Seeded (mu, eps, delta, floor_scale, piece_cap): rational atoms, {a,
+    2a, 3a}, two atoms sharing window ends exactly, surds, atoms scaled by
+    2^-1000 and near-ties; floor scales 2 to 10^3 and piece caps 3 to 400.
+    Deep floors get a cap, so that the reference merge stays quick."""
+    rng = random.Random(409)
+    tiny = F(1, 2**1000)
+
+    def rational():
+        return rat_basis.rational(F(rng.randint(10, 99), 100))
+
+    def surd():
+        a, b = F(rng.randint(5, 30), 100), F(rng.randint(0, 20), 100)
+        return surd_basis.point(["0", a, b])
+
+    cases = []
+    for i in range(count):
+        kind = i % 6
+        make = None
+        eps = F(rng.randint(3, 9), rng.choice((30, 31, 32)))
+        n, d = eps.numerator, eps.denominator
+        if kind == 0:
+            atoms = [rational() for _ in range(rng.randint(1, 4))]
+        elif kind == 1:
+            a = rng.choice((rational, surd))() * F(1, 3)
+            atoms = [a, a * 2, a * 3]
+        elif kind == 2:
+            # t * d/(k d + n) of the first atom is the hi end of window j of
+            # the second, and so is every (1 + s d)-fold of both indices
+            a = rng.choice((rational, surd))() * F(1, 7)
+            k, j = rng.sample(range(1, 7), 2)
+            atoms = [a, a * F(j * d + n, k * d + n)]
+        elif kind == 3:
+            atoms = [surd() for _ in range(rng.randint(1, 3))]
+        elif kind == 4:
+            # below 1e-300 the radii of the ends swamp their values: every
+            # end is ordered by exact comparison; some of these share
+            # window ends
+            make = surd if i % 12 == 4 else rational
+            if i % 24 == 10:
+                a = make() * F(1, 7) * tiny
+                k, j = rng.sample(range(1, 7), 2)
+                atoms = [a, a * F(j * d + n, k * d + n)]
+            else:
+                atoms = [make() * tiny for _ in range(rng.randint(1, 3))]
+        else:
+            a = rng.choice((rational, surd))() * F(1, 2)
+            atoms = [a, a + F(1, 10**30), a * 2 + F(1, 10**30)]
+        mu = DiscreteMeasure(atoms, [F(rng.randint(1, 9), 9) for _ in atoms])
+        delta = F(rng.randint(1, 40), 40)
+        # exact comparisons of surds near 2^-1000 are slow: keep those shallow
+        floor_scale = 2 if make is surd else rng.choice((2, 3, 10, 64, 200, 1000))
+        if floor_scale >= 200 or rng.random() < 0.5:
+            piece_cap = rng.randint(3, 400)
+        else:
+            piece_cap = 10**6
+        if i % 24 == 10:  # deep enough that a shared end meets a block's edge
+            floor_scale, piece_cap = 64, 10**6
+        cases.append((mu, eps, delta, floor_scale, piece_cap))
+    return cases
+
+
+def test_block_sweep_matches_heap_merge(rat_basis, surd_basis):
+    seen = Counter()
+    for mu, eps, delta, floor_scale, piece_cap in _sweep_cases(rat_basis, surd_basis, 180):
+        r = cutoff_r(mu, eps, delta)
+        lam_floor = r * F(1, floor_scale)
+        want = _trace(_heap_sweep, mu, eps, r, lam_floor, piece_cap)
+        got = _trace(_sweep, mu, eps, r, lam_floor, piece_cap)
+        assert got == want, (mu.atoms, eps, delta, floor_scale, piece_cap)
+        capped = bool(want) and want[-1][0] == "CapExceeded"
+        seen["capped" if capped else "complete"] += 1
+        n_windows = sum(k_end - k0 for k0, k_end in _windows(mu, eps, r, lam_floor))
+        if not capped and len(want) < 2 * n_windows:
+            seen["merged"] += 1  # some window ends coincide exactly
+        if capped and len(want) > 1:
+            seen["capped after pieces"] += 1
+    assert min(seen[k] for k in ("complete", "capped", "merged",
+                                 "capped after pieces")) >= 10, seen
+
+
+def _find_outcome(mu, eps, delta, **kw):
+    try:
+        res = find_lambda(mu, eps, delta, **kw)
+    except (CapExceeded, LambdaNotFound) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "diagnostics", None)
+    return res.to_json(), res.piece[0].key, res.piece[1].key
+
+
+def test_find_lambda_same_with_heap_merge(rat_basis, surd_basis, monkeypatch):
+    outcomes = Counter()
+    cases = _sweep_cases(rat_basis, surd_basis, 120)
+    for i, (mu, eps, delta, floor_scale, piece_cap) in enumerate(cases):
+        # every other search gets a cap of 3 to 12 windows, and every fourth
+        # rejects each piece it probes, so its sweep goes on to the floor
+        kw = {"floor_scale": min(floor_scale, 64), "max_retries": 1,
+              "piece_cap": min(piece_cap, 3 + i % 10) if i % 2 else piece_cap}
+        if i % 4 == 0:
+            kw.update(candidate_cap=2, max_retries=0, constraints=WindowConstraints(
+                x_1=cutoff_r(mu, eps, delta) * F(1, 10**6), x_l=mu.x_l))
+        got = _find_outcome(mu, eps, delta, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(lambda_search, "_sweep", _heap_sweep)
+            want = _find_outcome(mu, eps, delta, **kw)
+        assert got == want, (mu.atoms, eps, delta, kw)
+        outcomes[got[0] if isinstance(got[0], str) else "found"] += 1
+    assert min(outcomes[k] for k in ("found", "CapExceeded", "LambdaNotFound")) >= 10, outcomes
+
+
+@pytest.mark.parametrize("scale, floor_scale", [(1, 10**6), (F(1, 2**1000), 10**3)])
+def test_find_lambda_reads_few_ends(surd_basis, monkeypatch, scale, floor_scale):
+    # demo measure 0: the search stops near r, so only the first blocks of
+    # window ends are read; also at 2^-1000, where the doubles separate no
+    # end and the ends are ordered exactly
+    mu = DiscreteMeasure([surd_basis.point(["0", "1/4", "0"]) * scale,
+                          surd_basis.point(["0", "0", "1/4"]) * scale], [F(1, 2), F(1, 2)])
+    built = [0]
+    init = _End.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(_End, "__init__", counted)
+    res = find_lambda(mu, F(1, 6), F(1, 2), floor_scale=floor_scale)
+    assert res.value == 1
+    assert built[0] < 100, built[0]
