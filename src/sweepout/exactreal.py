@@ -12,16 +12,24 @@ equal exactly when their coefficient vectors are equal; this is forced by
 the rational independence of the generators, which is certified
 automatically for surd bases and asserted by the user otherwise.
 
-Order comparisons are decided by adaptive-precision interval evaluation
-with a fast floating-point filter in front: the filter only ever decides
-cases whose certified error bounds cannot overlap, so every answer is
-exact. Undecidable comparisons (possible only when a declared independence
-assertion is false, or a decimal generator is too coarse) raise
-PrecisionExhausted rather than guessing.
+Every certified decision in the package is made here, filter then exact,
+by one margin rule and one loop. The filter works on (midpoint, radius)
+doubles with a rigorous radius (Point.approx): a value (m, r) lies in
+[m - 4r, m + 4r], and two values are separated when those intervals are
+more than 1e-300 apart. compare, Point.sign, floor_point, bisect_points
+and certified_clusters decide by that rule alone, and cut_limit gives the
+bound by which the lambda sweep passes its clusters. What the filter leaves
+open goes to escalate, the one precision-escalation loop: it tries a
+decision on exact enclosures at a start precision, doubles the precision
+up to the basis's precision_cap, and raises PrecisionExhausted there
+rather than guessing (possible only when a declared independence assertion
+is false, or a decimal generator is too coarse). Point.sign,
+floor_point, the lambda search's integral test and separating rational,
+and the lattice density constant all escalate through it.
 
-Lists of Points are ordered and searched by the same filter-then-exact
-rule: sort_points orders by the cached float enclosures and sorts exactly
-only inside clusters whose enclosures cannot be separated (the cut of
+Lists of Points are ordered and searched by the same rule: sort_points
+orders by the cached float enclosures and sorts exactly only inside
+clusters whose enclosures cannot be separated (the cut of
 certified_clusters, which the lambda sweep uses too), and
 bisect_points decides each probe by the float test and calls compare only
 when it overlaps. Never sort or bisect Points through __lt__.
@@ -448,19 +456,14 @@ class Point:
         m, r = self.approx()
         if abs(m) > 4.0 * r + 1e-300:
             return 1 if m > 0 else -1
-        cap = self.basis.precision_cap
-        bits = 2 * _APPROX_BITS
-        while True:
+
+        def decide(bits):
             lo, hi, _ = self._bounds(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            if bits >= cap:
-                raise PrecisionExhausted(
-                    f"sign of {self!r} undecided at {cap} bits; a declared "
-                    "independence assertion may be violated")
-            bits = min(bits * 2, cap)
+            return 1 if lo > 0 else -1 if hi < 0 else None
+
+        return escalate(decide, 2 * _APPROX_BITS, self.basis.precision_cap,
+                        "sign of {!r} undecided at {cap} bits; a declared "
+                        "independence assertion may be violated", self)
 
     def __float__(self):
         return self.approx()[0]
@@ -486,6 +489,20 @@ def as_point(basis: GeneratorBasis, x) -> Point:
             raise ValueError("points over different bases")
         return x
     return basis.rational(parse_fraction(x))
+
+
+def escalate(decide, bits: int, cap: int, message: str, subject=None):
+    """The first result other than None of decide(bits), at the start
+    precision bits and then at each doubling of it, clamped at cap.
+    Undecided at cap, it raises PrecisionExhausted with
+    message.format(subject, cap=cap)."""
+    while True:
+        got = decide(bits)
+        if got is not None:
+            return got
+        if bits >= cap:
+            raise PrecisionExhausted(message.format(subject, cap=cap))
+        bits = min(bits * 2, cap)
 
 
 def compare(a: Point, b: Point) -> int:
@@ -543,6 +560,13 @@ def certified_clusters(apx: Sequence[tuple[float, float]], limit: float = math.i
     while runs and runs[-1][1] > done:  # a cluster across done is not below limit
         done = min(done, runs.pop()[0])
     return order, runs, done
+
+
+def cut_limit(apx: Sequence[tuple[float, float]]) -> float:
+    """The limit for certified_clusters that passes exactly the clusters
+    lying below every (midpoint, radius) pair of apx: their lowest lower
+    end m - 4r, less the margin 1e-300 (inf when apx is empty)."""
+    return min([m - 4.0 * r for m, r in apx], default=math.inf) - 1e-300
 
 
 def sort_points(items, key=None) -> list:
@@ -619,18 +643,14 @@ def floor_point(x: Point) -> int:
 
 def _floor_by_enclosure(x: Point) -> int:
     """floor_point by adaptive enclosure refinement, for an irrational x."""
-    cap = x.basis.precision_cap
-    bits = 64
-    while True:
+    def decide(bits):
         lo, hi, t = x._bounds(bits)
         flo = lo // t
-        if flo == hi // t:
-            return flo
-        if bits >= cap:
-            raise PrecisionExhausted(
-                f"floor of {x!r} undecided at {cap} bits (value sits on an "
-                "integer within the declared generator precision)")
-        bits = min(bits * 2, cap)
+        return flo if flo == hi // t else None
+
+    return escalate(decide, 64, x.basis.precision_cap,
+                    "floor of {!r} undecided at {cap} bits (value sits on an "
+                    "integer within the declared generator precision)", x)
 
 
 def reduce_mod1(x: Point) -> Point:

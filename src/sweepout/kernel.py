@@ -33,9 +33,13 @@ INF = math.inf
 def classify_tuples(y_hat, bounds, edges, guard, collect):
     """Classify all integer tuples against a flattened edge array.
 
-    edges holds [lo1, hi1, lo2, hi2, ...] sorted ascending; a value is
-    inside the union exactly when an odd number of edges lies below it.
-    guard must be >= 0 and y_hat[-1] > 0.
+    edges holds the doubles of [lo1, hi1, lo2, hi2, ...] sorted ascending,
+    ties allowed; a value is inside the union exactly when an odd number
+    of edges lies below it. With guard covering the float error of each
+    value and each edge, a value that clears every edge by more than
+    guard has as many edges below it as in exact arithmetic, also where
+    edges collide in doubles and their images tie or swap. guard must be
+    >= 0 and y_hat[-1] > 0.
 
     Returns (inside_count, inside_tuples_or_None, uncertain_tuples).
     """

@@ -16,14 +16,14 @@ the enclosure that the Point t * a/b would carry (exactreal.scaled_approx).
 The sweep reads the ends in blocks, below double thresholds r * 0.9^j,
 orders each block by one float sort cut into certified clusters
 (exactreal.certified_clusters, the cut sort_points uses), and passes a
-cluster on once its lowest lower bound lies above the upper bound of
-every atom's next unread end: that end lies exactly above all of the
-atom's unread ends. An end's exact Point is built only where it is read:
-for the ends of a cluster of two or more, in the clipping tests against
-r and the floor, for a probed piece, for LambdaProfile.pieces, and below
-about 1e-300, where the radii swamp the values and the ends are ordered
-exactly. Piece values are integers in units of 1/D, D the lcm of the
-mass denominators.
+cluster on once it lies above every atom's next unread end by that cut
+(exactreal.cut_limit): that end lies exactly above all of the atom's
+unread ends. An end's exact Point is built only where it is read: for the
+ends of a cluster of two or more, in the clipping tests against r and the
+floor, for a probed piece, for LambdaProfile.pieces, and for values so
+small that the radii swamp them, where the ends are ordered exactly.
+Piece values are integers in units of 1/D, D the lcm of the mass
+denominators.
 
 find_lambda probes the pieces of full mass |mu| as the sweep meets them.
 No piece exceeds |mu|, so these come first in its order (value, then
@@ -56,10 +56,11 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from operator import attrgetter
 
-from .errors import CapExceeded, LambdaNotFound, PrecisionExhausted
+from .errors import CapExceeded, LambdaNotFound
 from .exactreal import (IntervalSet, Point, certified_clusters, compare,
-                        decimal_enclosure_str, floor_point, fraction_str,
-                        parse_fraction, scaled_approx)
+                        cut_limit, decimal_enclosure_str, escalate,
+                        floor_point, fraction_str, parse_fraction,
+                        scaled_approx)
 from .measures import DiscreteMeasure
 
 DEFAULT_FLOOR_SCALE = 10**4
@@ -141,15 +142,15 @@ class _End:
     The end is t * a/b for an atom t and a reduced ratio q = (a, b), or the
     Point t itself when q is None (r, the floor, and clipped ends). Its
     (mid, rad) come from t.approx() through scaled_approx, the doubles that
-    the Point t * a/b would carry; mid - 4 rad and mid + 4 rad bound it as
-    in compare. The sweep reads ends in blocks and orders them by these
-    doubles. The exact Point, pt, is built only when read: for the ends of
-    a cluster of two or more in that order, for the clipping tests against
-    r and the floor, for a probed piece, for LambdaProfile.pieces, and for
-    every end below about 1e-300, where the sweep orders exactly. dm is
-    the change of the step value there in units of 1/D, and opens the
-    number of windows that the sweep enters when it passes this end (1 for
-    the lo end of a window with a successor; summed when ends merge)."""
+    the Point t * a/b would carry. The sweep reads ends in blocks and
+    orders them by these doubles. The exact Point, pt, is built only when
+    read: for the ends of a cluster of two or more in that order, for the
+    clipping tests against r and the floor, for a probed piece, for
+    LambdaProfile.pieces, and for ends so small that the radii swamp them,
+    where the sweep orders exactly. dm is the change of the step value
+    there in units of 1/D, and opens the number of windows that the sweep
+    enters when it passes this end (1 for the lo end of a window with a
+    successor; summed when ends merge)."""
 
     __slots__ = ("t", "q", "_pt", "dm", "opens", "mid", "rad")
 
@@ -196,7 +197,7 @@ def _merged(ends: list[_End]) -> list[_End]:
     first of them on a tie) represents them, with their dm and opens
     summed."""
     # by midpoint first, so that the exact sort meets nearly sorted runs
-    # even where the radii swamp the values (below about 1e-300)
+    # even where the radii swamp the values (the tiniest ends)
     ends.sort(key=attrgetter("mid"), reverse=True)
     ends.sort(key=cmp_to_key(lambda a, b: compare(b.pt, a.pt)))
     out = [ends[0]]
@@ -213,11 +214,13 @@ def _merged(ends: list[_End]) -> list[_End]:
     return out
 
 
-def _descending(ends: list[_End], limit: float) -> tuple[list[_End], list[_End]]:
-    """(passed, rest): the clusters of ends whose lower bounds all lie
-    above limit, in exact descending order with equal ends merged, and the
-    other ends. The ends are negated so that certified_clusters ascends."""
-    order, runs, done = certified_clusters([(-e.mid, e.rad) for e in ends], -limit)
+def _descending(ends: list[_End], unread) -> tuple[list[_End], list[_End]]:
+    """(passed, rest): the clusters of ends that lie above every end of
+    unread by the certified cut, in exact descending order with equal ends
+    merged, and the other ends. The ends are negated so that
+    certified_clusters ascends."""
+    limit = cut_limit([(-e.mid, e.rad) for e in unread])
+    order, runs, done = certified_clusters([(-e.mid, e.rad) for e in ends], limit)
     passed = [ends[i] for i in order[:done]]
     rest = [ends[i] for i in order[done:]]
     for start, stop in reversed(runs):  # merging shortens passed from here on
@@ -245,12 +248,12 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
     read a block at a time). The block and the ends carried over are
     ordered by one float sort and the certified cluster cut (_descending);
     only clusters of two or more ends are compared exactly. A cluster is
-    passed only when its lowest lower bound lies more than 1e-300 above
-    the upper bound of every atom's next unread hi end, which lies exactly
-    above all of that atom's unread ends; the first cluster that is not,
-    and all after it, carry over. Below about 1e-300 the radii swamp the
-    values and no cluster passes: when a block read ends and passed none,
-    the ends exactly above every next unread hi end pass instead."""
+    passed only when the same cut separates it from every atom's next
+    unread hi end, which lies exactly above all of that atom's unread
+    ends; the first cluster that is not, and all after it, carry over.
+    Where the radii swamp the values no cluster passes: when a block read
+    ends and passed none, the ends exactly above every next unread hi end
+    pass instead."""
     n, d = eps.numerator, eps.denominator
     budget = piece_cap
     cursors = []  # per atom with windows left: [next hi end, t, dm, k, k_end]
@@ -275,7 +278,6 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
                 thr = -math.inf
         capped = False
         carried = len(pending)
-        bound = -math.inf
         live = []
         for cur in cursors:
             hi, t, m, k, k_end = cur
@@ -296,20 +298,17 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
                 cur[0] = hi
                 cur[3] = k
                 live.append(cur)
-                top = hi.mid + 4.0 * hi.rad
-                if top > bound:
-                    bound = top
         cursors = live
         if not cursors:
             pending.append(_End(lam_floor, None, 0))
         read = len(pending) > carried
-        passed, pending = _descending(pending, bound + 1e-300)
+        passed, pending = _descending(pending, [cur[0] for cur in cursors])
         if not passed and read and cursors:
             # the doubles separate nothing here: order the ends exactly and
             # pass those exactly above every next unread hi end
             unread = max((cur[0] for cur in cursors),
                          key=cmp_to_key(lambda a, b: compare(a.pt, b.pt))).pt
-            ends, _ = _descending(pending, -math.inf)
+            ends, _ = _descending(pending, ())
             cut = bisect_left(ends, True, key=lambda e: compare(e.pt, unread) <= 0)
             passed, pending = ends[:cut], ends[cut:]
         for end in passed:
@@ -407,17 +406,13 @@ class LambdaProfile:
 
     def integral_at_least(self, threshold: Point, bits: int = 128) -> bool:
         """Certified test  integral >= threshold  (threshold a Point)."""
-        cap = threshold.basis.precision_cap
-        while True:
+        def decide(bits):
             ilo, ihi = self.integral_bounds(bits)
             tlo, thi = threshold.enclosure(bits)
-            if ilo >= thi:
-                return True
-            if ihi < tlo:
-                return False
-            if bits >= cap:
-                raise PrecisionExhausted("profile integral comparison undecided")
-            bits = min(bits * 2, cap)
+            return True if ilo >= thi else False if ihi < tlo else None
+
+        return escalate(decide, bits, threshold.basis.precision_cap,
+                        "profile integral comparison undecided")
 
     def csv_rows(self):
         """The header, then (lo, hi, value) per piece, ascending; lo and hi
@@ -452,18 +447,17 @@ def _rational_inside(lo: Point, hi: Point) -> Fraction:
     enclosures."""
     if lo.is_rational() and hi.is_rational():
         return (lo.rational_value() + hi.rational_value()) / 2
-    bits = 96
-    cap = lo.basis.precision_cap
-    while True:
+
+    def decide(bits):
         _, lhi = lo.enclosure(bits)
         hlo, _ = hi.enclosure(bits)
         if lhi < hlo:
             mid = (lhi + hlo) / 2
             if compare(lo, lo.basis.rational(mid)) < 0 and compare(hi, hi.basis.rational(mid)) > 0:
                 return mid
-        if bits >= cap:
-            raise PrecisionExhausted("cannot separate piece endpoints")
-        bits = min(bits * 2, cap)
+        return None
+
+    return escalate(decide, 96, lo.basis.precision_cap, "cannot separate piece endpoints")
 
 
 @dataclass

@@ -18,7 +18,10 @@ rigorous guard of an interval edge are re-decided with exact arithmetic,
 so every reported count is exact. The float data come from cached
 doubles: each y_i and its radius from Y[i].approx(), each edge from its
 approx() scaled by p, and the guard covers those radii, the error of
-float(p) and all rounding. The shift closure's interval test runs
+float(p) and all rounding. The kernel reads the float edges sorted, so
+edges that collide in doubles (a tie or a swap) go through it as usual:
+the guard keeps every tuple it decides on the same side of each exact
+edge. The shift closure's interval test runs
 through the same filter; only sums within the guard of -x_l or x_l are
 built as Points and compared exactly.
 """
@@ -34,7 +37,7 @@ from typing import Sequence
 from . import kernel
 from .errors import CapExceeded
 from .exactreal import (GeneratorBasis, IntervalSet, Point, compare,
-                        fraction_str, sort_points)
+                        escalate, fraction_str, sort_points)
 
 DEFAULT_TUPLE_CAP = 10**7
 
@@ -42,73 +45,6 @@ DEFAULT_TUPLE_CAP = 10**7
 class NuOneDensityError(ValueError):
     """interval_count_ratio requires nu >= 2; rational (nu = 1) supports
     are counted exactly with count_progression instead."""
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra over the coefficient vectors
-# ---------------------------------------------------------------------------
-
-def _echelon_insert(rows, vec):
-    """Reduce vec against reduced rows; append if independent.
-
-    rows: list of (pivot_index, row) with row[pivot] == 1.
-    Returns True if vec was independent (and got inserted).
-    """
-    v = list(vec)
-    for piv, row in rows:
-        if v[piv] != 0:
-            c = v[piv]
-            for i in range(len(v)):
-                v[i] -= c * row[i]
-    for piv in range(len(v)):
-        if v[piv] != 0:
-            inv = 1 / v[piv]
-            v = [c * inv for c in v]
-            rows.append((piv, v))
-            rows.sort(key=lambda pr: pr[0])
-            return True
-    return False
-
-
-def _solve_exact(columns, target):
-    """Solve sum_j r_j * columns[j] == target exactly over Q.
-
-    columns are linearly independent vectors; the system is assumed
-    consistent (target lies in their span). Gaussian elimination with
-    exact Fractions.
-    """
-    ncols = len(columns)
-    dim = len(target)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(dim)]
-    row = 0
-    piv_cols = []
-    for col in range(ncols):
-        sel = None
-        for r in range(row, dim):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [c / pv for c in aug[row]]
-        for r in range(dim):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        piv_cols.append(col)
-        row += 1
-        if row == dim:
-            break
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(piv_cols):
-        sol[col] = aug[r][ncols]
-    # consistency check: rows below the pivots must have zero residual
-    for r in range(row, dim):
-        if aug[r][ncols] != 0:
-            raise ValueError("inconsistent system: target outside the span")
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +61,12 @@ class CertQuotient:
         self.den = den
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        b = bits
-        while True:
+        def decide(b):
             lo, hi = self.den.enclosure(b)
-            if lo > 0:
-                return self.num / hi, self.num / lo
-            b *= 2
+            return (self.num / hi, self.num / lo) if lo > 0 else None
+
+        return escalate(decide, bits, self.den.basis.precision_cap,
+                        "denominator {!r} not certified positive at {cap} bits", self.den)
 
     def __float__(self):
         lo, hi = self.enclosure(96)
@@ -241,6 +177,10 @@ def decompose(X: Sequence[Point]) -> LatticeSpec:
     Candidates are scanned from the largest point downward so the chosen
     subset always contains x_l and, among maximal independent subsets, is
     the lexicographically latest by index (deterministic tie-breaking).
+    One exact Gauss-Jordan elimination does both: the matrix whose columns
+    are the points' coefficient vectors, largest first, is row-reduced;
+    its pivot columns are the greedy subset, and each reduced column holds
+    its point's coordinates over the pivots.
     """
     pts = sort_points({p.key: p for p in X}.values())
     if not pts:
@@ -251,16 +191,26 @@ def decompose(X: Sequence[Point]) -> LatticeSpec:
             raise ValueError("support points over different bases")
         if p.sign() <= 0 or compare(p, basis.rational(1)) >= 0:
             raise ValueError(f"support point outside (0,1): {p!r}")
-    rows: list = []
-    chosen = []
-    for p in reversed(pts):
-        if _echelon_insert(rows, p.coeffs):
-            chosen.append(p)
-    Y = tuple(sort_points(chosen))
-    ycols = [y.coeffs for y in Y]
-    rationals = []
-    for x in pts:
-        rationals.append(_solve_exact(ycols, x.coeffs))
+    cols = [p.coeffs for p in reversed(pts)]
+    rows = [list(row) for row in zip(*cols)]
+    pivots = []
+    for j in range(len(cols)):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        pv = rows[r][j]
+        rows[r] = [c / pv for c in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[j]:
+                f = row[j]
+                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+        pivots.append(j)
+    # the columns, and so the pivots, run from the largest point down;
+    # Y and X ascend, so both are read in reverse
+    Y = tuple(pts[-1 - j] for j in reversed(pivots))
+    rationals = list(zip(*(row[::-1] for row in reversed(rows[:len(pivots)]))))
     p_den = 1
     for r in rationals:
         for q in r:
@@ -277,7 +227,7 @@ def decompose(X: Sequence[Point]) -> LatticeSpec:
 # ---------------------------------------------------------------------------
 
 def _filter_data(spec: LatticeSpec, window: IntervalSet, bounds: Sequence[int]):
-    """(y_hat, edges, guard, ok) for the kernel and the closure filter.
+    """(y_hat, edges, guard) for the kernel and the closure filter.
 
     y_hat[i] and its radius come from the cached Y[i].approx(); each edge
     is e.approx() scaled by p in floats, with an error term covering the
@@ -285,6 +235,10 @@ def _filter_data(spec: LatticeSpec, window: IntervalSet, bounds: Sequence[int]):
     product's rounding. guard is a rigorous bound on |float value -
     p * exact value| for any tuple within bounds summed in the kernel's
     order, and on |edge - p * exact edge|, each with a factor 2 to spare.
+    edges are sorted: where two edges collide in doubles, their float
+    images may tie or swap, and a value that clears both by more than
+    guard lies on the same side of each exact edge as of its double, so
+    its count of edges below is the same in either order.
     """
     nu = spec.nu
     y_hat = []
@@ -307,8 +261,8 @@ def _filter_data(spec: LatticeSpec, window: IntervalSet, bounds: Sequence[int]):
         edge_err = max(edge_err, r * pf + abs(m) * p_err + abs(f) * 2.3e-16)
     rounding = (nu + 3) * 2.0**-53 * mag_sum
     guard = (err_sum + rounding + edge_err) * 2.0 + 1e-280
-    ok = all(a < b for a, b in zip(edges, edges[1:]))
-    return y_hat, edges, guard, ok
+    edges.sort()
+    return y_hat, edges, guard
 
 
 def _classify(spec: LatticeSpec, m: int, window: IntervalSet, cap: int, collect: bool):
@@ -321,20 +275,7 @@ def _classify(spec: LatticeSpec, m: int, window: IntervalSet, cap: int, collect:
         raise CapExceeded(f"A_{m} needs {total} tuples, cap is {cap}")
     if window.is_empty():
         return 0, [] if collect else None
-    y_hat, edges, guard, ok = _filter_data(spec, window, bounds)
-    if not ok:
-        # float edge images collided; classify everything exactly (rare)
-        hits = []
-        count = 0
-        from itertools import product
-
-        for tup in product(*[range(-b, b + 1) for b in bounds]):
-            if window.contains(spec.point_of(tup)):
-                if collect:
-                    hits.append(tup)
-                else:
-                    count += 1
-        return (len(hits), hits) if collect else (count, None)
+    y_hat, edges, guard = _filter_data(spec, window, bounds)
     count, inside, uncertain = kernel.classify_tuples(y_hat, bounds, edges, guard, collect)
     extra = []
     for tup in uncertain:
@@ -501,7 +442,7 @@ def shift_closure_check(spec: LatticeSpec, m: int,
     _, hits = _classify(spec, m, window, cap, collect=True)
     nu = spec.nu
     hi_bounds = spec.bounds(m + 1)
-    y_hat, edges, guard, ok = _filter_data(
+    y_hat, edges, guard = _filter_data(
         spec, IntervalSet.single(spec.basis, neg_x_l, x_l), hi_bounds)
     e_lo, e_hi = edges
     head, y_last = y_hat[:-1], y_hat[-1]
@@ -517,7 +458,7 @@ def shift_closure_check(spec: LatticeSpec, m: int,
                 for n, y in zip(s, head):
                     v += n * y
                 v += s[-1] * y_last
-                if ok and v - e_lo > guard and e_hi - v > guard:
+                if v - e_lo > guard and e_hi - v > guard:
                     continue
                 val = spec.point_of(s)
                 if compare(val, neg_x_l) > 0 and compare(val, x_l) < 0:

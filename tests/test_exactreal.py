@@ -111,6 +111,25 @@ def test_precision_exhausted_for_coarse_decimal():
     assert compare(g, basis.point(["0", "1"])) == 0
 
 
+def test_escalate_schedule():
+    # the one precision-escalation loop: the start precision, each
+    # doubling clamped at the cap, then PrecisionExhausted
+    seen = []
+
+    def never(bits):
+        seen.append(bits)
+
+    with pytest.raises(PrecisionExhausted, match="undecided at 1024 bits: x"):
+        exactreal.escalate(never, 96, 1024, "undecided at {cap} bits: {}", "x")
+    assert seen == [96, 192, 384, 768, 1024]
+    # any result but None decides, False and 0 included
+    seen.clear()
+    assert exactreal.escalate(lambda b: seen.append(b) or (False if b > 100 else None),
+                              64, 1024, "") is False
+    assert seen == [64, 128]
+    assert exactreal.escalate(lambda b: 0, 2048, 1024, "") == 0
+
+
 def test_floor_and_mod1(surd_basis):
     r2 = surd_basis.point(["0", "1", "0"])
     assert floor_point(r2) == 1
@@ -513,6 +532,27 @@ def test_certified_clusters_cut_rule():
         assert done == want_done
         assert runs == [[a, b] for a, b in zip(bounds, bounds[1:])
                         if b - a > 1 and b <= done]
+
+
+def test_cut_limit_passes_clusters_below_every_pair():
+    # the limit is the lowest lower end of the pairs less the margin, so
+    # every value of a passed cluster lies more than 1e-300 below them all
+    rng = random.Random(37)
+
+    def pick():
+        return (rng.choice((rng.uniform(-1, 1), 0.25, 1e-301)),
+                rng.choice((0.0, 1e-17, 1e-300, rng.uniform(0, 0.05))))
+
+    assert exactreal.cut_limit([]) == math.inf
+    for _ in range(300):
+        apx = [pick() for _ in range(rng.randint(0, 20))]
+        under = [pick() for _ in range(rng.randint(1, 4))]
+        limit = exactreal.cut_limit(under)
+        assert limit == min(m - 4.0 * r for m, r in under) - 1e-300
+        order, _, done = exactreal.certified_clusters(apx, limit)
+        for i in order[:done]:
+            m, r = apx[i]
+            assert all(m + 4.0 * r < um - 4.0 * ur - 1e-300 for um, ur in under)
 
 
 def test_sort_points_precision_exhausted_on_coarse_basis():

@@ -1,10 +1,11 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from sweepout.errors import CapExceeded
+from sweepout.errors import CapExceeded, PrecisionExhausted
 from sweepout.exactreal import GeneratorBasis, IntervalSet, compare
 from sweepout.lattice import (DEFAULT_TUPLE_CAP, ClosureCertificate,
                               CountReport, LatticeSpec, NuOneDensityError,
@@ -177,6 +178,86 @@ def test_count_edge_at_lattice_point(surd_spec, surd_basis, root3_over4):
     window = IntervalSet.single(surd_basis, -root3_over4, surd_basis.rational(0))
     hits = lattice_hits(surd_spec, 1, window)
     assert all(compare(p, -root3_over4) > 0 and p.sign() < 0 for p in hits)
+
+
+def test_count_colliding_float_edges(surd_spec, surd_basis):
+    # windows within 2^-k of a lattice point c, k in 60..90: two edges
+    # collide in doubles, and the kernel reads them sorted like any
+    # others. Edges built as c + t - t carry the rounding of that sum in
+    # their cached doubles, so some images swap instead of tying.
+    rng = random.Random(61)
+    basis2, spec2 = _random_surd_spec(rng)
+    ties = swaps = 0
+    for spec, basis, m in ((surd_spec, surd_basis, 2), (spec2, basis2, 2)):
+        pts = enumerate_lattice(spec, m)
+        t = F(1, 3)
+        # three lattice points at random, and two whose c + t - t rounds up
+        rounds_up = [c for c in pts if (c + t - t).approx()[0] > c.approx()[0]]
+        for c in rng.sample(pts, 3) + rounds_up[:2]:
+            for k in range(60, 91):
+                h = basis.rational(F(1, 2**k))
+                for ivs in ([(c - h, c + h)], [(c, c + h)], [(c - h, c)],
+                            [(c - h, c), (c, c + h)], [(c + t - t - h, c + h)],
+                            [(c - h, c - t + t + h)]):
+                    window = IntervalSet.canonicalize(basis, ivs)
+                    edges = [e.approx()[0] * spec.p for e in window.edge_points()]
+                    ties += any(a == b for a, b in zip(edges, edges[1:]))
+                    swaps += any(a > b for a, b in zip(edges, edges[1:]))
+                    oracle = [p for p in pts if window.contains(p)]
+                    assert lattice_count(spec, m, window) == len(oracle)
+                    hits = lattice_hits(spec, m, window)
+                    assert [p.key for p in hits] == [p.key for p in oracle]
+    assert ties > 0 and swaps > 0
+
+
+def test_gamma_enclosure_precision_exhausted():
+    # a denominator whose sign no precision decides: the enclosure stops
+    # at the basis's precision cap instead of refining forever
+    basis = GeneratorBasis.from_specs(["dec:1/1000@4"], assert_independent=True)
+    x = basis.point(["0", "1"])
+    spec = LatticeSpec(basis=basis, X=(x,), Y=(x,), coeffs=((1,),), p=1, tau=1)
+    with pytest.raises(PrecisionExhausted):
+        spec.Y[-1].sign()
+    with pytest.raises(PrecisionExhausted, match="1024 bits"):
+        spec.gamma.enclosure(128)
+
+
+def test_decompose_greedy_core_and_least_denominator():
+    # seeded supports over 1-3 surds with rational parts: Y is the greedy
+    # independent subset taken from the largest point down, and p is the
+    # least common denominator of the coordinates
+    def rank(vectors):
+        rows = [list(v) for v in vectors]
+        r = 0
+        for j in range(len(rows[0]) if rows else 0):
+            sel = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+            if sel is None:
+                continue
+            rows[r], rows[sel] = rows[sel], rows[r]
+            for i in range(r + 1, len(rows)):
+                f = rows[i][j] / rows[r][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            r += 1
+        return r
+
+    rng = random.Random(29)
+    for _ in range(60):
+        radicands = rng.sample([2, 3, 5, 6, 7, 10, 11], rng.randint(1, 3))
+        basis = GeneratorBasis.from_specs([f"sqrt:{a}" for a in radicands])
+        gens = [basis.point([F(rng.randint(0, 3), rng.randint(8, 40))]
+                            + [F(rng.randint(0, 2), rng.randint(8, 40))
+                               for _ in radicands]) for _ in range(rng.randint(1, 3))]
+        support = [g * q for g in gens for q in (1, F(1, 2), F(2, 3))
+                   if not g.is_zero() and compare(g * q, basis.rational(1)) < 0]
+        if not support:
+            continue
+        spec = decompose(support)
+        chosen = []
+        for x in reversed(spec.X):
+            if rank([y.coeffs for y in chosen] + [x.coeffs]) > len(chosen):
+                chosen.append(x)
+        assert spec.Y == tuple(reversed(chosen))
+        assert math.gcd(spec.p, *(n for row in spec.coeffs for n in row)) == 1
 
 
 def test_interval_count_ratio_m200(surd_spec, surd_basis):
@@ -428,7 +509,7 @@ def test_filter_guard_bounds_float_error():
     cases.append((spec, IntervalSet.single(surd, -spec.x_l, surd.rational(0)), [3, 5]))
     cases.append((spec, IntervalSet.single(surd, r3_4 * F(-1, 7), spec.x_l), [2, 9]))
     for spec, window, bounds in cases:
-        y_hat, edges, guard, ok = _filter_data(spec, window, bounds)
+        y_hat, edges, guard = _filter_data(spec, window, bounds)
         for f, e in zip(edges, window.edge_points()):
             assert _within(f, (e * spec.p).enclosure(256), guard)
         corners = [tuple(rng.choice((-b, b)) for b in bounds) for _ in range(4)]
