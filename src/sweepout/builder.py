@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,7 +38,7 @@ from .errors import (CapExceeded, GrowthExhausted, SequenceExhausted,
 from .exactreal import (GeneratorBasis, IntervalSet, Point, PointSet,
                         bisect_points, compare, decimal_enclosure_str,
                         fraction_str, max_abs, min_gap, parse_fraction,
-                        reduce_mod1, sort_points)
+                        sort_points, torus_lifts)
 from .lambda_search import WindowConstraints, active_atoms, find_lambda
 from .lattice import DEFAULT_TUPLE_CAP, decompose, lattice_hits
 from .measures import (DiscreteMeasure, MeasureSequence, convolve_indicator,
@@ -422,10 +423,19 @@ class SweepOutWitness:
         res = rec(0, v)
         return None if res is None else v - res
 
-    def contains_A_torus(self, x: Point) -> bool:
-        """Membership of x mod 1 in the thickened sumset A, factored."""
-        w = reduce_mod1(x)
-        return self.decode_near(w) is not None or self.decode_near(w - 1) is not None
+    @cached_property
+    def _hull_A(self) -> tuple[Point, Point]:
+        """Closed hull of A: sum_i G_i[0] - eps' to sum_i G_i[-1] + eps'."""
+        lo, hi = -self.eps_prime, self.eps_prime
+        for f in self.factors:
+            lo, hi = lo + f.G[0], hi + f.G[-1]
+        return lo, hi
+
+    def contains_torus(self, x: Point) -> bool:
+        """Membership of x mod 1 in the thickened sumset A, factored; no
+        lift outside the hull of A is within eps_prime of the sumset."""
+        return any(self.decode_near(v) is not None
+                   for v in torus_lifts(x, *self._hull_A))
 
     def to_json(self):
         return {
@@ -751,15 +761,7 @@ def _sampled_checks(w: SweepOutWitness, seq: MeasureSequence,
             pt = choice if pt is None else pt + choice
         offset = w.eps_prime * Fraction(rng.randrange(-denom + 1, denom), denom)
         x = pt + offset
-        sup = Fraction(0)
-        for i in range(w.m):
-            mu = seq[w.indices[i]]
-            val = Fraction(0)
-            for a, mass in zip(mu.atoms, mu.masses):
-                if w.contains_A_torus(x + a):
-                    val += mass
-            if val > sup:
-                sup = val
+        sup = max(convolve_indicator(seq[i], w, x) for i in w.indices)
         ok = sup > w.delta
         hits += ok
         if len(rows) < 20:
@@ -897,7 +899,7 @@ def oscillation_trace(seq: MeasureSequence, schedule: Sequence[tuple[Fraction, F
                          max_points=trim_points)
         g_pts = w.explicit_G()
         e_pairs = w.explicit_E()
-        A = to_torus(w.thickened(g_pts))
+        A = w.thickened(g_pts)
         centers = sort_points(p for p, _ in e_pairs)[:max_sample_points]
         warnings = []
         if max(w.indices) >= len(seq) - 1:

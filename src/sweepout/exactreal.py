@@ -37,6 +37,10 @@ when it overlaps. Never sort or bisect Points through __lt__.
 IntervalSet is the companion set type: a canonical finite union of open
 intervals with Point endpoints, supporting exact measure, translation,
 scaling and intersection.
+
+Membership mod 1 has one rule: torus_lifts yields the integer lifts of a
+point that fall in a set's closed hull, and every contains_torus (PointSet,
+IntervalSet, the builder's factored witness) tests those lifts alone.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, compress, islice, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PrecisionExhausted
 
@@ -653,9 +657,13 @@ def _floor_by_enclosure(x: Point) -> int:
                     "integer within the declared generator precision)", x)
 
 
-def reduce_mod1(x: Point) -> Point:
-    """Representative of x in [0, 1)."""
-    return x - floor_point(x)
+def torus_lifts(x: Point, lo: Point, hi: Point) -> Iterator[Point]:
+    """The Points x + k, k an integer, that lie in the closed interval
+    [lo, hi], in ascending order: the integer lifts of x mod 1 that a set
+    with hull [lo, hi] can contain. The one rule behind every membership
+    test mod 1."""
+    for k in range(-floor_point(x - lo), floor_point(hi - x) + 1):
+        yield x + k
 
 
 def decimal_enclosure_str(x, digits: int = 24) -> dict:
@@ -679,7 +687,7 @@ def decimal_enclosure_str(x, digits: int = 24) -> dict:
 class PointSet:
     """Finite set of Points with exact membership, including mod-1 lookup."""
 
-    __slots__ = ("basis", "points", "_keys", "_lift_range")
+    __slots__ = ("basis", "points", "_keys")
 
     def __init__(self, points: Iterable[Point]):
         pts = {}
@@ -693,7 +701,6 @@ class PointSet:
         self.basis = basis
         self.points = tuple(sort_points(pts.values()))
         self._keys = frozenset(pts)
-        self._lift_range = None
 
     def __len__(self):
         return len(self.points)
@@ -706,14 +713,9 @@ class PointSet:
 
     def contains_torus(self, v: Point) -> bool:
         """Membership of v mod 1: any integer lift of v in the set."""
-        if not self.points:
-            return False
-        if self._lift_range is None:
-            self._lift_range = (floor_point(self.points[0]) - 1,
-                                floor_point(self.points[-1]) + 1)
-        w = reduce_mod1(v)
-        k_lo, k_hi = self._lift_range
-        return any((w + k).key in self._keys for k in range(k_lo, k_hi + 1))
+        pts = self.points
+        return bool(pts) and any(w.key in self._keys
+                                 for w in torus_lifts(v, pts[0], pts[-1]))
 
 
 class IntervalSet:
@@ -723,13 +725,12 @@ class IntervalSet:
     membership is always false (open intervals throughout).
     """
 
-    __slots__ = ("basis", "intervals", "_los", "_lift_range")
+    __slots__ = ("basis", "intervals", "_los")
 
     def __init__(self, basis: GeneratorBasis, intervals: tuple[tuple[Point, Point], ...]):
         self.basis = basis
         self.intervals = intervals
         self._los = [lo for lo, _ in intervals]
-        self._lift_range = None
 
     @classmethod
     def canonicalize(cls, basis: GeneratorBasis, raw) -> "IntervalSet":
@@ -828,14 +829,9 @@ class IntervalSet:
     def contains_torus(self, x: Point) -> bool:
         """Membership of x mod 1: true when any integer lift of x lies in
         the set, wherever on the line the set happens to sit."""
-        if not self.intervals:
-            return False
-        if self._lift_range is None:
-            self._lift_range = (floor_point(self.intervals[0][0]) - 1,
-                                floor_point(self.intervals[-1][1]) + 1)
-        w = reduce_mod1(x)
-        k_lo, k_hi = self._lift_range
-        return any(self.contains(w + k) for k in range(k_lo, k_hi + 1))
+        ivs = self.intervals
+        return bool(ivs) and any(map(self.contains,
+                                     torus_lifts(x, ivs[0][0], ivs[-1][1])))
 
     def contains_set(self, other: "IntervalSet") -> bool:
         """other is a subset of self (both canonical, open)."""

@@ -6,8 +6,8 @@ A DiscreteMeasure is a finite sum of positive point masses at Points in
     x -> sum_k  m_k * [x + x_k in A (mod 1)],
 
 i.e. the convolution of the indicator of A with the measure, evaluated
-exactly. Sets may be IntervalSets or finite Point sets; all membership is
-decided on the torus, with sets represented inside (-1, 1).
+exactly. Sets may be IntervalSets or finite Point sets anywhere on the
+line; all membership is decided on the torus, by the sets' contains_torus.
 
 The overlay machinery (step_profile) decomposes x -> S 1_A(x) into its
 exact step function on [0, 1), which gives level sets, integrals and
@@ -142,20 +142,15 @@ class MeasureSequence:
 def convolve_indicator(mu: DiscreteMeasure, target, x: Point) -> Fraction:
     """S 1_A(x) = sum of masses whose translate x + x_k lands in A (mod 1).
 
-    target may be an IntervalSet, a PointSet, or any iterable of Points.
-    Every membership decision is exact; the result lies in [0, |mu|].
+    target is any set with a contains_torus method (an IntervalSet, a
+    PointSet, a factored witness), or an iterable of Points, read as a
+    PointSet. Every membership decision is exact; the result lies in
+    [0, |mu|].
     """
-    if isinstance(target, IntervalSet):
-        member = target.contains_torus
-    elif isinstance(target, PointSet):
-        member = target.contains_torus
-    else:
-        member = PointSet(target).contains_torus
-    out = Fraction(0)
-    for a, m in zip(mu.atoms, mu.masses):
-        if member(x + a):
-            out += m
-    return out
+    if not hasattr(target, "contains_torus"):
+        target = PointSet(target)
+    return sum((m for a, m in zip(mu.atoms, mu.masses)
+                if target.contains_torus(x + a)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +194,8 @@ class StepProfile:
 
     pieces are consecutive open intervals between breakpoints; the value
     on each piece is exact. Values at the breakpoints themselves can
-    differ (open target sets) and are obtained with point_value().
+    differ (open target sets) and are obtained with point_value(), which
+    evaluates on the line set target, integer seam points included.
     """
 
     mu: DiscreteMeasure
@@ -227,11 +223,13 @@ class StepProfile:
 def step_profile(mu: DiscreteMeasure, A: IntervalSet) -> StepProfile:
     """Overlay of all torus translates A - x_k weighted by their masses.
 
-    A is reduced to its canonical torus image first, so line sets that
-    overlap themselves mod 1 contribute as the indicator of their
-    projection (0/1), exactly like convolve_indicator sees them.
+    The pieces come from the canonical torus image of A, so line sets
+    that overlap themselves mod 1 contribute as the indicator of their
+    projection (0/1), exactly like convolve_indicator sees them. That
+    image drops the seam points, integers interior to a component, so
+    point values are taken on A itself.
     """
-    A = to_torus(A)
+    A_t = to_torus(A)
     basis = mu.basis
     deltas: dict = {}
     points: dict = {}
@@ -245,7 +243,7 @@ def step_profile(mu: DiscreteMeasure, A: IntervalSet) -> StepProfile:
     add(zero, Fraction(0))
     add(one, Fraction(0))
     for a, m in zip(mu.atoms, mu.masses):
-        for lo, hi in torus_pieces(A.translate(-a)):
+        for lo, hi in torus_pieces(A_t.translate(-a)):
             add(lo, m)
             add(hi, -m)
     bps = sort_points(points.values())

@@ -240,6 +240,22 @@ def test_decode_membership(geom_seq):
             assert compare(abs(far - dec), w.eps_prime) < 0
 
 
+def test_factored_membership_matches_explicit(geom_seq):
+    # the factored test, decode_near on the lifts inside the hull of A,
+    # against the explicit thickened sumset
+    w = trim_witness(build_witness(geom_seq, F(1, 12), F(1, 2)), geom_seq)
+    e = w.eps_prime
+    A = w.thickened(w.explicit_G())
+    for g in w.explicit_G():
+        inside = [g + e * F(1, 3)] + [g + k for k in (-3, -1, 1, 2)]
+        edges = [g + e, g - e, g + e * F(3, 2)]
+        for x in inside:
+            assert A.contains_torus(x)
+        assert not A.contains_torus(g + e) and not A.contains_torus(g - e)
+        for x in inside + edges:
+            assert w.contains_torus(x) == A.contains_torus(x), x
+
+
 def test_oscillation_trace(surd_basis):
     seq = geometric_sequence(surd_basis, 14)
     traces = oscillation_trace(seq, [(F(1, 12), F(1, 2))])

@@ -13,8 +13,8 @@ from sweepout.errors import PrecisionExhausted
 from sweepout.exactreal import (Generator, GeneratorBasis, IntervalSet, Point,
                                 PointSet, bisect_points, compare,
                                 decimal_enclosure_str, floor_point, min_gap,
-                                parse_fraction, reduce_mod1, scaled_approx,
-                                sort_points)
+                                parse_fraction, scaled_approx, sort_points,
+                                torus_lifts)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 
@@ -136,9 +136,6 @@ def test_floor_and_mod1(surd_basis):
     assert floor_point(-r2) == -2
     assert floor_point(surd_basis.rational(F(7, 2))) == 3
     assert floor_point(surd_basis.rational(-3)) == -3
-    w = reduce_mod1(r2)
-    assert float(w) == pytest.approx(math.sqrt(2) - 1)
-    assert reduce_mod1(surd_basis.rational(F(-1, 4))) == F(3, 4)
 
 
 def _floor_outcome(fn, x):
@@ -700,6 +697,75 @@ def test_contains_torus(rat_basis):
     assert not s.contains_torus(rat_basis.rational(F(7, 8)))  # endpoint, open
     assert not s.contains_torus(rat_basis.rational(F(1, 8)))
     assert s.contains_torus(rat_basis.rational(F(-3, 16) + 5))
+
+
+def _four_lifts(s, x):
+    """Reference for contains_torus, the rule it replaced: reduce x into
+    [0, 1) and try every lift from floor(first element) - 1 to
+    floor(last element) + 1."""
+    if isinstance(s, IntervalSet):
+        if not s.intervals:
+            return False
+        first, last, member = s.intervals[0][0], s.intervals[-1][1], s.contains
+    else:
+        if not s.points:
+            return False
+        first, last, member = s.points[0], s.points[-1], s.__contains__
+    w = x - floor_point(x)
+    return any(member(w + k)
+               for k in range(floor_point(first) - 1, floor_point(last) + 2))
+
+
+def test_torus_lifts_bounds(surd_basis, root2_over8):
+    lo, hi = surd_basis.rational(F(-3, 2)), root2_over8 + 1
+    for x in (root2_over8, root2_over8 - 7, surd_basis.rational(F(1, 2)),
+              surd_basis.rational(5)):
+        lifts = list(torus_lifts(x, lo, hi))
+        assert all(compare(lo, v) <= 0 <= compare(hi, v) for v in lifts)
+        assert all((v - x).is_rational() for v in lifts)
+        assert lifts == sort_points(lifts)
+        # the hull is longer than 1, so every x has a lift, and the
+        # neighbours of the lifts lie outside it
+        assert compare(lifts[0] - 1, lo) < 0 and compare(lifts[-1] + 1, hi) > 0
+    # hull ends are closed: an end that is a lift is yielded
+    assert [v.key for v in torus_lifts(hi - 3, lo, hi)] == [
+        (hi - 2).key, (hi - 1).key, hi.key]
+    assert list(torus_lifts(root2_over8, lo, lo)) == []
+
+
+def test_contains_torus_matches_four_lift_oracle(rat_basis, surd_basis):
+    rng = random.Random(11)
+
+    def rnd_point(basis):
+        q = F(rng.randint(-96, 96), 32)
+        if basis is rat_basis or rng.random() < 0.3:
+            return basis.rational(q)
+        return basis.point([q, F(rng.randint(-8, 8), 16), F(rng.randint(-8, 8), 16)])
+
+    for basis in (rat_basis, surd_basis):
+        sets = [IntervalSet.empty(basis), PointSet([]),
+                # straddles the seam at 0, and the seam at 1
+                IntervalSet.single(basis, F(-1, 4), F(1, 4)),
+                IntervalSet.canonicalize(basis, [(F(7, 8), F(9, 8)), (F(-2), F(-7, 4))])]
+        for _ in range(30):
+            raw = []
+            for _ in range(rng.randint(1, 3)):
+                a, b = rnd_point(basis), rnd_point(basis)
+                if compare(a, b) != 0:
+                    raw.append((a, b) if compare(a, b) < 0 else (b, a))
+            if raw:
+                sets.append(IntervalSet.canonicalize(basis, raw))
+            sets.append(PointSet([rnd_point(basis) for _ in range(rng.randint(1, 4))]))
+        for s in sets:
+            elems = (s.edge_points() if isinstance(s, IntervalSet) else list(s.points))
+            probes = [basis.rational(5), basis.rational(-5),
+                      basis.rational(F(1, 3)) + 5, basis.rational(F(-2, 7)) - 5]
+            for e in elems:
+                # open endpoints and hull-end elements, at their lifts too
+                probes += [e, e + 1, e - 1, e + 3, e - 5, e + F(1, 64), e - F(1, 64)]
+            probes += [rnd_point(basis) for _ in range(6)]
+            for x in probes:
+                assert s.contains_torus(x) == _four_lifts(s, x), (s, x)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,20 @@ def test_min_on_interval(rat_basis):
     assert v == 0
 
 
+def test_min_on_interval_sees_seam_points(rat_basis):
+    # x + 1/2 = 1 at x = 1/2, a seam point interior to A = (-1/4, 1/4):
+    # S 1_A is 1 on all of (2/5, 3/5), the breakpoint 1/2 included
+    mu = rational_measure(rat_basis, [(F(1, 2), F(1))])
+    A = interval(rat_basis, F(-1, 4), F(1, 4))
+    half = rat_basis.rational(F(1, 2))
+    assert convolve_indicator(mu, A, half) == 1
+    prof = step_profile(mu, A)
+    assert half.key in {b.key for b in prof.breakpoints}
+    assert prof.point_value(half) == 1
+    assert min_on_interval(mu, A, rat_basis.rational(F(2, 5)),
+                           rat_basis.rational(F(3, 5)), profile=prof) == 1
+
+
 # ---------------------------------------------------------------------------
 # condition checks
 # ---------------------------------------------------------------------------
