@@ -116,6 +116,12 @@ class EGPair:
         )
         if not pair.E or not pair.G:
             raise ValueError(f"pair for measure {pair.mu_index} has an empty E or G")
+        # decode_near bisects E and G and the hull of A reads their ends:
+        # a file must list them ascending, as to_json writes them
+        for name, pts in (("E", pair.E), ("G", pair.G)):
+            if any(compare(a, b) >= 0 for a, b in zip(pts, pts[1:])):
+                raise ValueError(f"pair for measure {pair.mu_index}: {name} "
+                                 f"is not strictly ascending")
         return pair
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -38,11 +39,18 @@ COMMANDS = ("decompose", "lattice-count", "find-lambda", "build-eg",
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if type(cfg) is not dict:
+        raise ConfigError("config must be a JSON object")
+    if type(cfg.get("basis", {})) not in (dict, list):
+        raise ConfigError("config basis must be a JSON object or list")
+    if type(cfg.get("params", {})) is not dict:
+        raise ConfigError("config params must be a JSON object")
+    return cfg
 
 
 def _basis_from_config(cfg: dict, precision_bits: int | None) -> GeneratorBasis:
@@ -50,6 +58,8 @@ def _basis_from_config(cfg: dict, precision_bits: int | None) -> GeneratorBasis:
     if isinstance(spec, list):
         spec = {"generators": spec}
     gens = spec.get("generators", [])
+    if type(gens) is not list or not all(type(g) is str for g in gens):
+        raise ConfigError("basis generators must be a list of strings")
     kw = {"assert_independent": bool(spec.get("assert_independent", False))}
     if precision_bits:
         kw["precision_cap"] = precision_bits
@@ -60,13 +70,13 @@ def _basis_from_config(cfg: dict, precision_bits: int | None) -> GeneratorBasis:
 
 
 def _measures_from_config(cfg: dict, basis: GeneratorBasis) -> MeasureSequence:
-    raw = cfg.get("measures")
-    if not raw:
-        raise ConfigError("config has no measures")
+    """The config's measures, checked for structure here and parsed on first
+    read; a bad value in measures[i] is a ValueError when it is read, which
+    run turns into a config error."""
     try:
-        return MeasureSequence.from_json(basis, raw)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad measure entry: {exc}")
+        return MeasureSequence.from_json(basis, cfg.get("measures"))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _param(params: dict, name: str, default=None, required=False):
@@ -114,12 +124,51 @@ def _trim_points(raw) -> int:
     return n
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the C encoder where built
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """What json.dumps writes for obj with sorted keys and an indent of 2,
+    byte for byte, without the pure-Python encoder that an indent selects.
+    Types dispatch exactly: dict with str keys, list, tuple, str, int,
+    bool, None and float; anything else raises TypeError. nl is the
+    newline and indent of obj's level."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_encode_str(key)}: {_json_text(obj[key], inner)}")
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return ("[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj])
+                + nl + "]")
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return repr(obj)
+    if kind is float:
+        text = repr(obj)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
-    # one dumps and one write: json.dump with indent writes every chunk
-    # of the pure-Python encoder separately
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 def _write_csv(path: Path, rows):
@@ -372,7 +421,10 @@ def run(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process, main parses every
+    call with it."""
     ap = argparse.ArgumentParser(
         prog="sweepout",
         description="exact construction and verification of sweep-out "

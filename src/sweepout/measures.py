@@ -14,6 +14,10 @@ exact step function on [0, 1), which gives level sets, integrals and
 per-interval minima with no approximation. It backs both the mass
 identity  integral S 1_G = |mu| |G|  and the Chebyshev-style level-set
 bound, and is reused by the witness verifier.
+
+A MeasureSequence read from JSON is lazy: from_json checks the structure
+of every entry up front and parses each measure on its first read, so a
+command that needs one measure of a long sequence parses only that one.
 """
 
 from __future__ import annotations
@@ -110,7 +114,16 @@ class DiscreteMeasure:
 
 
 class MeasureSequence:
-    __slots__ = ("basis", "measures")
+    """A finite sequence of measures over one basis.
+
+    Built from DiscreteMeasures, or lazily from JSON by from_json: that
+    checks the structure of every entry at once and parses each measure on
+    its first read, seq[i], and keeps it. A bad value in an entry (rational
+    syntax, a zero denominator, an atom outside (0, 1), a mass that is not
+    positive) raises ValueError naming the entry, measures[i], when read.
+    """
+
+    __slots__ = ("basis", "_raw", "_built")
 
     def __init__(self, measures: Sequence[DiscreteMeasure]):
         if not measures:
@@ -120,23 +133,56 @@ class MeasureSequence:
             if mu.basis != basis:
                 raise ValueError("measures over different bases")
         self.basis = basis
-        self.measures = tuple(measures)
+        self._raw = None
+        self._built = list(measures)
 
     def __len__(self):
-        return len(self.measures)
+        return len(self._built)
 
-    def __getitem__(self, i) -> DiscreteMeasure:
-        return self.measures[i]
+    def __getitem__(self, i: int) -> DiscreteMeasure:
+        mu = self._built[i]
+        if mu is None:
+            i = range(len(self._built))[i]
+            try:
+                mu = DiscreteMeasure.from_json(self.basis, self._raw[i])
+            except ValueError as exc:
+                raise ValueError(f"measures[{i}]: {exc}") from None
+            self._built[i] = mu
+        return mu
 
     def __iter__(self):
-        return iter(self.measures)
+        return map(self.__getitem__, range(len(self._built)))
 
     def to_json(self):
-        return [mu.to_json() for mu in self.measures]
+        return [mu.to_json() for mu in self]
 
     @classmethod
-    def from_json(cls, basis, obj) -> "MeasureSequence":
-        return cls([DiscreteMeasure.from_json(basis, m) for m in obj])
+    def from_json(cls, basis: GeneratorBasis, obj) -> "MeasureSequence":
+        """The sequence of the JSON list obj, its measures unparsed. Raises
+        ValueError naming the path, measures[i], unless obj is a non-empty
+        list of objects whose atoms and masses are lists of equal, non-zero
+        length, each atom an object with a coeffs list or a scalar."""
+        if type(obj) is not list or not obj:
+            raise ValueError("measures must be a non-empty list")
+        for i, entry in enumerate(obj):
+            entry = entry if type(entry) is dict else {}
+            atoms, masses = entry.get("atoms"), entry.get("masses")
+            if type(atoms) is not list or type(masses) is not list:
+                raise ValueError(f"measures[{i}] is not an object with lists "
+                                 f"atoms and masses")
+            if not atoms or len(atoms) != len(masses):
+                raise ValueError(f"measures[{i}] needs equally many atoms and "
+                                 f"masses, at least one")
+            for j, atom in enumerate(atoms):
+                if not (type(atom.get("coeffs")) is list if type(atom) is dict
+                        else isinstance(atom, (str, int, float))):
+                    raise ValueError(f"measures[{i}].atoms[{j}] is neither an "
+                                     f"object with a coeffs list nor a scalar")
+        seq = cls.__new__(cls)
+        seq.basis = basis
+        seq._raw = obj
+        seq._built = [None] * len(obj)
+        return seq
 
 
 def convolve_indicator(mu: DiscreteMeasure, target, x: Point) -> Fraction:

@@ -194,8 +194,9 @@ def test_witness_json_roundtrip(geom_seq, surd_basis):
 def test_corrupted_witness_fails_named_check(geom_seq, surd_basis):
     w = build_witness(geom_seq, F(1, 12), F(1, 2))
     blob = w.to_json()
-    # move one point of the first factor's G outside the set
-    blob["factors"][0]["G"][0] = {"coeffs": ["9/10", "0", "0"]}
+    # move the last point of the first factor's G outside the set; G stays
+    # ascending, as a witness file must list it
+    blob["factors"][0]["G"][-1] = {"coeffs": ["9/10", "0", "0"]}
     bad = SweepOutWitness.from_json(surd_basis, blob)
     rep = verify_witness(bad, geom_seq, mode="factor-exact")
     assert not rep.passed

@@ -1,12 +1,17 @@
+import argparse
 import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sweepout import __version__
+from sweepout import __version__, cli
 from sweepout.cli import main
+from sweepout.measures import DiscreteMeasure
 
 
 def write_config(directory: Path, n_measures=12, params=None):
@@ -225,7 +230,9 @@ def test_find_lambda_floor_scale_below_one_exit_3(tmp_path, capsys, floor_scale)
 def test_corrupted_witness_exit_1(config):
     assert run(config, "build-witness") == 0
     blob = json.loads((config / "out" / "witness.json").read_text())
-    blob["factors"][0]["G"][0] = {"coeffs": ["9/10", "0", "0"]}
+    # the last G point, so that G stays ascending (see the reversed-G case
+    # of test_malformed_witness_exit_3)
+    blob["factors"][0]["G"][-1] = {"coeffs": ["9/10", "0", "0"]}
     bad = config / "out" / "bad_witness.json"
     bad.write_text(json.dumps(blob))
     code = run(config, "verify", extra=("--witness", str(bad)))
@@ -357,14 +364,22 @@ def _index_out_of_range(blob):
     return "bad witness file: index 99 is outside the 12 measures of the config"
 
 
+def _reversed_G(blob):
+    # decode_near bisects G: a file that lists it descending is malformed,
+    # not sorted silently into another certificate
+    blob["factors"][0]["G"].reverse()
+    return "bad witness file: pair for measure 0: G is not strictly ascending"
+
+
 @pytest.mark.parametrize("tamper", [_drop_last_index, _shift_first_index,
                                     _empty_E, _empty_G, _m_too_large,
-                                    _index_out_of_range])
+                                    _index_out_of_range, _reversed_G])
 def test_malformed_witness_exit_3(config, capsys, tamper):
     assert run(config, "build-witness") == 0
     blob = json.loads((config / "out" / "witness.json").read_text())
     # a failing last factor must not pass unchecked when its index is gone
-    blob["factors"][-1]["G"][0] = blob["factors"][-1]["E"][0]
+    # (G = {E[0]} is not disjoint from E, and stays ascending)
+    blob["factors"][-1]["G"] = blob["factors"][-1]["E"][:1]
     expected = tamper(blob) or "bad witness file"
     bad = config / "out" / "bad_witness.json"
     bad.write_text(json.dumps(blob))
@@ -455,3 +470,161 @@ def test_build_witness_trim_points_zero_and_one(tmp_path):
     rep = report(tmp_path, "build-witness", out="trim1")
     assert rep["status"] == "verification-failed"
     assert rep["results"]["error"] == "cannot trim factor at measure 0 to 1 points"
+
+
+
+def _list_config(cfg):
+    return [cfg], "config must be a JSON object"
+
+
+def _string_measure(cfg):
+    cfg["measures"][3] = "oops"
+    return cfg, "measures[3] is not an object with lists atoms and masses"
+
+
+def _measures_object(cfg):
+    cfg["measures"] = {"0": cfg["measures"][0]}
+    return cfg, "measures must be a non-empty list"
+
+
+def _unequal_atoms_masses(cfg):
+    cfg["measures"][2]["masses"].append("1/2")
+    return cfg, "measures[2] needs equally many atoms and masses, at least one"
+
+
+def _atom_list(cfg):
+    cfg["measures"][1]["atoms"][0] = ["0", "1/4", "0"]
+    return cfg, ("measures[1].atoms[0] is neither an object with a coeffs list "
+                 "nor a scalar")
+
+
+def _params_list(cfg):
+    cfg["params"] = [cfg["params"]]
+    return cfg, "config params must be a JSON object"
+
+
+def _generator_number(cfg):
+    cfg["basis"]["generators"][1] = 3
+    return cfg, "basis generators must be a list of strings"
+
+
+@pytest.mark.parametrize("command", ["decompose", "check-conditions"])
+@pytest.mark.parametrize("tamper", [_list_config, _string_measure,
+                                    _measures_object, _unequal_atoms_masses,
+                                    _atom_list, _params_list, _generator_number])
+def test_malformed_config_exit_3(tmp_path, capsys, tamper, command):
+    # a config of the wrong shape is a config error that names the JSON
+    # path, before any stage runs: never exit 1 with a traceback
+    cfg, expected = tamper(write_config(tmp_path))
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run(tmp_path, command) == 3
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def run_demo(out, command):
+    return main([command, "--config", str(DEMO_CONFIG), "--out", str(out)])
+
+
+def _count_measure_parses(monkeypatch):
+    calls = []
+    parse = DiscreteMeasure.from_json
+
+    def counted(basis, obj):
+        calls.append(obj)
+        return parse(basis, obj)
+
+    monkeypatch.setattr(DiscreteMeasure, "from_json", staticmethod(counted))
+    return calls
+
+
+@pytest.mark.parametrize("command, parses", [
+    ("decompose", 1), ("find-lambda", 1), ("build-eg", 1),
+    ("check-conditions", 24)])
+def test_measures_parsed_on_first_read(tmp_path, monkeypatch, command, parses):
+    # a command that reads one measure of the 24 parses one; the condition
+    # report reads them all, each once
+    calls = _count_measure_parses(monkeypatch)
+    assert run_demo(tmp_path, command) == 0
+    assert len(calls) == parses
+
+
+def test_bad_measure_value_reported_when_read(tmp_path, capsys):
+    # values are checked when a measure is first read: check-conditions
+    # reads measures[5] and names it; decompose reads only measures[0]
+    cfg = json.loads(DEMO_CONFIG.read_text())
+    cfg["measures"][5]["atoms"][0] = "3/2"
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run(tmp_path, "check-conditions") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: measures[5]: atom outside (0,1)")
+    assert run(tmp_path, "decompose") == 0
+
+
+def test_parser_built_once(tmp_path, monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return argparse.ArgumentParser(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=counted))
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_demo(tmp_path, "decompose") == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert built == [1]
+
+
+def _stdlib_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_writer_matches_stdlib_on_demo_payloads(tmp_path, monkeypatch):
+    # every payload that the demo commands write, the reports included
+    payloads = {}
+    write = cli._write_json
+
+    def recorded(path, payload):
+        payloads[path.name] = payload
+        write(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", recorded)
+    for command in ("decompose", "lattice-count", "find-lambda", "build-eg",
+                    "build-witness", "trace", "check-conditions"):
+        assert run_demo(tmp_path, command) == 0, command
+    assert main(["verify", "--config", str(DEMO_CONFIG), "--out", str(tmp_path),
+                 "--witness", str(tmp_path / "witness.json")]) == 0
+    assert len(payloads) == 13  # eight reports and five artifacts
+    for name, payload in payloads.items():
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert text == _stdlib_json(payload) + "\n", name
+
+
+_json_floats = st.sampled_from([-0.0, 0.0, 1e300, 5e-324, float("nan"),
+                                float("inf"), float("-inf")]) | st.floats()
+_json_strings = st.text(st.characters(codec="utf-8") | st.sampled_from(
+    '"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud7ff\U0001f600'))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**30)
+    | _json_floats | _json_strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=30)
+
+
+@given(_json_values)
+@settings(max_examples=400, deadline=None)
+def test_writer_matches_stdlib(value):
+    assert cli._json_text(value) == _stdlib_json(value)
+
+
+@pytest.mark.parametrize("value", [F(1, 2), {1, 2}, {1: "a"}, [{"a": {2: 3}}]])
+def test_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)

@@ -677,3 +677,85 @@ def test_find_lambda_reads_few_ends(surd_basis, monkeypatch, scale, floor_scale)
     res = find_lambda(mu, F(1, 6), F(1, 2), floor_scale=floor_scale)
     assert res.value == 1
     assert built[0] < 100, built[0]
+
+
+# ---------------------------------------------------------------------------
+# the pass bound of the block sweep at a block's edge
+# ---------------------------------------------------------------------------
+
+_MARGIN = F(1e-300)
+
+
+def _cut_gap(p, u):
+    """How far p's lower end m - 4r lies above u's upper end m + 4r, exactly
+    on their doubles."""
+    return F(p.mid) - 4 * F(p.rad) - F(u.mid) - 4 * F(u.rad)
+
+
+def _near_tie_at_block_edge(rat_basis, scale, band, block, k, j):
+    """Two atoms and the ends p (hi end of window k of the first) and u (hi
+    end of window j of the second) on both sides of the threshold r * 0.9^block
+    of _sweep, r = delta. p lies above u by p's radius band and half of u's
+    (band "radius"), or clear of both bands by half the margin of cut_limit
+    (band "margin"): only u's radius, or only the margin, keeps p from
+    passing while u is unread."""
+    eps = F(1, 6)
+    n, d = eps.numerator, eps.denominator
+    delta = F(1, 100) * scale
+    thr = rat_basis.rational(delta).approx()[0]
+    for _ in range(block):
+        thr *= 0.9
+
+    def ends(p_val, u_val):
+        a = rat_basis.rational(p_val * F(k * d + n, d))
+        b = rat_basis.rational(u_val * F(j * d + n, d))
+        return a, b, _End(a, (d, k * d + n), 0), _End(b, (d, j * d + n), 0)
+
+    edge = F(thr)
+    _, _, p, u = ends(edge, edge)
+    p_band, u_band = 4 * F(p.rad), 4 * F(u.rad)
+    apart = p_band + u_band / 2 if band == "radius" else p_band + u_band + _MARGIN / 2
+    above = min(apart / 4, edge * F(1, 10**15))
+    a, b, p, u = ends(edge + above, edge + above - apart)
+    assert p.mid >= thr > u.mid  # p is read in that block, u is not
+    mu = DiscreteMeasure([a, b], [F(1, 3), F(2, 3)])
+    assert cutoff_r(mu, eps, delta) == rat_basis.rational(delta)
+    return mu, eps, delta, p, u
+
+
+@pytest.mark.parametrize("scale, band", [
+    (1, "radius"), (F(1, 2**960), "radius"), (F(1, 2**960), "margin")])
+def test_sweep_holds_near_ties_at_block_edge(rat_basis, monkeypatch, scale, band):
+    # an end read in one block passes only once it lies above every atom's
+    # next unread hi end by the certified cut: both radii and the margin;
+    # seeded windows and blocks, each with a near tie across the edge
+    rng = random.Random(4177)
+    descending = lambda_search._descending
+    calls = []
+
+    def checked(ends, unread):
+        passed, rest = descending(ends, unread)
+        unread = list(unread)
+        for e in passed:
+            for u in unread:
+                slack = 2 * F(max(abs(e.mid), abs(u.mid))) / 2**52
+                assert _cut_gap(e, u) > _MARGIN - slack, (e.mid, e.rad, u.mid, u.rad)
+        calls.append(({e.mid for e in rest}, {u.mid for u in unread}))
+        return passed, rest
+
+    monkeypatch.setattr(lambda_search, "_descending", checked)
+    for _ in range(3):
+        block, k, j = rng.randint(2, 5), rng.randint(35, 45), rng.randint(46, 60)
+        mu, eps, delta, p, u = _near_tie_at_block_edge(rat_basis, scale, band,
+                                                       block, k, j)
+        if band == "radius":
+            assert _cut_gap(p, u) < 0 < F(p.mid) - 4 * F(p.rad) - F(u.mid) - _MARGIN
+        else:
+            assert 0 < _cut_gap(p, u) < _MARGIN
+        r = cutoff_r(mu, eps, delta)
+        lam_floor = r * F(1, 4)
+        calls.clear()
+        got = _trace(_sweep, mu, eps, r, lam_floor, 10**6)
+        # the cut held p back while u was unread
+        assert any(p.mid in held and u.mid in unread for held, unread in calls)
+        assert got == _trace(_heap_sweep, mu, eps, r, lam_floor, 10**6)
