@@ -12,7 +12,7 @@ its inequalities certified.
 __version__ = "0.1.0"
 
 from .exactreal import (GeneratorBasis, IntervalSet, Point, PointSet,
-                        canonicalize, compare, min_gap)
+                        compare, min_gap)
 from .measures import (DiscreteMeasure, MeasureSequence, chebyshev_check,
                        check_condition_one, convolve_indicator)
 from .lattice import (LatticeSpec, decompose, enumerate_lattice,
@@ -24,8 +24,8 @@ from .builder import (EGPair, SweepOutWitness, build_eg, build_witness,
 
 __all__ = [
     "__version__",
-    "GeneratorBasis", "IntervalSet", "Point", "PointSet", "canonicalize",
-    "compare", "min_gap",
+    "GeneratorBasis", "IntervalSet", "Point", "PointSet", "compare",
+    "min_gap",
     "DiscreteMeasure", "MeasureSequence", "chebyshev_check",
     "check_condition_one", "convolve_indicator",
     "LatticeSpec", "decompose", "enumerate_lattice", "interval_count_ratio",

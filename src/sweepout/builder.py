@@ -33,8 +33,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (CapExceeded, GrowthExhausted, SequenceExhausted,
-                     VerificationFailed)
+from .errors import (CapExceeded, ConfigError, GrowthExhausted,
+                     SequenceExhausted, VerificationFailed)
 from .exactreal import (GeneratorBasis, IntervalSet, Point, PointSet,
                         bisect_points, compare, decimal_enclosure_str,
                         fraction_str, max_abs, min_gap, parse_fraction,
@@ -115,12 +115,12 @@ class EGPair:
             G=tuple(Point.from_json(basis, p) for p in obj["G"]),
         )
         if not pair.E or not pair.G:
-            raise ValueError(f"pair for measure {pair.mu_index} has an empty E or G")
+            raise ConfigError(f"pair for measure {pair.mu_index} has an empty E or G")
         # decode_near bisects E and G and the hull of A reads their ends:
         # a file must list them ascending, as to_json writes them
         for name, pts in (("E", pair.E), ("G", pair.G)):
             if any(compare(a, b) >= 0 for a, b in zip(pts, pts[1:])):
-                raise ValueError(f"pair for measure {pair.mu_index}: {name} "
+                raise ConfigError(f"pair for measure {pair.mu_index}: {name} "
                                  f"is not strictly ascending")
         return pair
 
@@ -149,7 +149,7 @@ def build_eg(mu: DiscreteMeasure, eps: Fraction, m_max: int = DEFAULT_M_MAX,
     """
     eps = parse_fraction(eps)
     if not 0 < eps < Fraction(1, 3):
-        raise ValueError("eps must lie in (0, 1/3)")
+        raise ConfigError("eps must lie in (0, 1/3)")
     spec = decompose(mu.support())
     constraints = WindowConstraints(x_1=mu.x_1, x_l=mu.x_l)
     res = find_lambda(mu, eps, delta=Fraction(1), constraints=constraints,
@@ -481,10 +481,10 @@ class SweepOutWitness:
         # verify pairs indices[k] with factors[k]; a short list would
         # leave factors unchecked
         if w.m < 1 or not len(w.indices) == len(w.factors) == len(w.count_F) == w.m:
-            raise ValueError(f"m = {w.m} disagrees with {len(w.indices)} indices, "
+            raise ConfigError(f"m = {w.m} disagrees with {len(w.indices)} indices, "
                              f"{len(w.factors)} factors and {len(w.count_F)} counts")
         if any(i != f.mu_index for i, f in zip(w.indices, w.factors)):
-            raise ValueError("indices disagree with the factors' mu_index")
+            raise ConfigError("indices disagree with the factors' mu_index")
         return w
 
 
@@ -524,9 +524,9 @@ def build_witness(seq: MeasureSequence, Delta: Fraction, delta: Fraction,
     Delta = parse_fraction(Delta)
     delta = parse_fraction(delta)
     if Delta <= 0:
-        raise ValueError("Delta must be positive")
+        raise ConfigError(f"Delta must be positive: {Delta}")
     if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+        raise ConfigError(f"delta must lie in (0, 1): {delta}")
     eps = (1 - delta) / 3
     m = required_m(Delta, delta)
     if m > m_cap:
@@ -792,15 +792,13 @@ def verify_witness(w: SweepOutWitness, seq: MeasureSequence,
     on every component of B exactly. sampled draws random points of B and
     evaluates the convolution directly through factored membership.
     """
+    if mode not in ("factor-exact", "explicit-brute-force", "sampled"):
+        raise ConfigError(f"unknown verify mode: {mode}")
     checks = _factor_checks(w, seq)
-    if mode == "factor-exact":
-        pass
-    elif mode == "explicit-brute-force":
+    if mode == "explicit-brute-force":
         checks += _explicit_checks(w, seq, cap=explicit_cap)
     elif mode == "sampled":
         checks += _sampled_checks(w, seq, samples=samples, seed=seed)
-    else:
-        raise ValueError(f"unknown mode: {mode}")
     return VerificationReport(mode=mode, checks=checks)
 
 
@@ -887,21 +885,22 @@ class WitnessTrace:
 
 def oscillation_trace(seq: MeasureSequence, schedule: Sequence[tuple[Fraction, Fraction]],
                       trim_points: int = 4, max_sample_points: int = 24,
-                      m_cap: int = 64) -> list[WitnessTrace]:
+                      **build_kw) -> list[WitnessTrace]:
     """Empirical oscillation along the sequence on built witness sets.
 
-    For each schedule entry a witness is built and trimmed to explicit
-    scale; the convolution of 1_A is then evaluated exactly at the
-    component centers of B for every measure of the sequence, giving
-    per-point running max and min. The values rise above delta at the
-    witness indices and fall back to 0 once the measures concentrate,
-    provided the sequence extends beyond the last witness index.
+    For each schedule entry a witness is built, with the caps build_kw of
+    build_witness, and trimmed to explicit scale; the convolution of 1_A
+    is then evaluated exactly at the component centers of B for every
+    measure of the sequence, giving per-point running max and min. The
+    values rise above delta at the witness indices and fall back to 0 once
+    the measures concentrate, provided the sequence extends beyond the
+    last witness index.
     """
     if not schedule:
-        raise ValueError("empty schedule")
+        raise ConfigError("empty schedule")
     traces = []
     for Delta, delta in schedule:
-        w = trim_witness(build_witness(seq, Delta, delta, m_cap=m_cap), seq,
+        w = trim_witness(build_witness(seq, Delta, delta, **build_kw), seq,
                          max_points=trim_points)
         g_pts = w.explicit_G()
         e_pairs = w.explicit_E()

@@ -7,8 +7,9 @@ table-producing commands also emit CSV. Reports carry no timestamps and
 all sampling is seeded, so identical configs yield byte-identical output.
 
 Exit codes: 0 success, 1 a certified inequality failed (the report names
-it), 2 a resource cap was hit, 3 configuration error, 4 internal error (a
-self-check of the program failed; the report has status internal-error).
+it), 2 a resource cap was hit, 3 bad input (a ConfigError, raised where the
+input is checked), 4 any other exception: a fault of the program, reported
+with status internal-error even when it is a ValueError.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +29,8 @@ from .builder import (SweepOutWitness, build_eg, build_witness,
 from .errors import (CapExceeded, ConfigError, GrowthExhausted,
                      LambdaNotFound, PrecisionExhausted, SequenceExhausted,
                      VerificationFailed)
-from .exactreal import (GeneratorBasis, Point, fraction_str, parse_fraction)
+from .exactreal import (GeneratorBasis, IntervalSet, Point, compare,
+                        fraction_str, parse_fraction)
 from .lambda_search import find_lambda, lambda_profile
 from .lattice import decompose, interval_count_ratio
 from .measures import MeasureSequence, chebyshev_check, check_condition_one
@@ -40,9 +43,9 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if type(cfg) is not dict:
         raise ConfigError("config must be a JSON object")
@@ -63,48 +66,48 @@ def _basis_from_config(cfg: dict, precision_bits: int | None) -> GeneratorBasis:
     kw = {"assert_independent": bool(spec.get("assert_independent", False))}
     if precision_bits:
         kw["precision_cap"] = precision_bits
-    try:
-        return GeneratorBasis.from_specs(gens, **kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return GeneratorBasis.from_specs(gens, **kw)
 
 
-def _measures_from_config(cfg: dict, basis: GeneratorBasis) -> MeasureSequence:
-    """The config's measures, checked for structure here and parsed on first
-    read; a bad value in measures[i] is a ValueError when it is read, which
-    run turns into a config error."""
-    try:
-        return MeasureSequence.from_json(basis, cfg.get("measures"))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _param(params: dict, name: str, default=None, required=False):
-    if name in params:
-        return params[name]
-    if required:
-        raise ConfigError(f"missing required parameter: {name}")
-    return default
-
-
-def _frac_param(params, name, default=None, required=False) -> Fraction | None:
-    raw = _param(params, name, default=default, required=required)
+def _param(params: dict, name: str, parse, default=None, required=False):
+    """params.<name> through parse, or the default, parsed too, when it is
+    absent or null; "a.b" names field b of the object params.a. A
+    ConfigError of parse passes through; a ValueError, TypeError or
+    KeyError becomes a ConfigError naming params.<name> and the raw value."""
+    *outer, key = name.split(".")
+    for part in outer:
+        params = params[part]
+    raw = params.get(key)
     if raw is None:
-        return None
+        if required:
+            raise ConfigError(f"missing required parameter: params.{name}")
+        raw = default
     try:
-        return parse_fraction(raw)
-    except ValueError:
-        raise ConfigError(f"parameter {name} is not a rational: {raw!r}")
+        return None if raw is None else parse(raw)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"params.{name} = {raw!r}: {exc}") from None
 
 
-def _point_param(basis, params, name, required=False) -> Point | None:
-    raw = _param(params, name, required=required)
-    if raw is None:
-        return None
-    try:
-        return Point.from_json(basis, raw)
-    except (ValueError, KeyError):
-        raise ConfigError(f"parameter {name} is not a point: {raw!r}")
+def _each(parse):
+    """A parse function for a JSON list: parse applied to every item."""
+    def parse_list(raw) -> list:
+        if type(raw) is not list:
+            raise TypeError(f"not a list but {type(raw).__name__}")
+        return [parse(item) for item in raw]
+    return parse_list
+
+
+def _object(raw) -> dict:
+    if type(raw) is not dict:
+        raise TypeError(f"not an object but {type(raw).__name__}")
+    return raw
+
+
+def _fraction_pair(raw) -> tuple[Fraction, Fraction]:
+    a, b = raw
+    return parse_fraction(a), parse_fraction(b)
 
 
 def _measure_index(seq: MeasureSequence, raw) -> int:
@@ -122,6 +125,26 @@ def _trim_points(raw) -> int:
     if n < 1:
         raise ConfigError(f"trim_points must be a positive integer, got {n}")
     return n
+
+
+def _interval(basis: GeneratorBasis, params: dict, prefix: str = "") -> tuple[Point, Point]:
+    """params.<prefix>interval_lo and interval_hi, checked lo < hi here:
+    the interval sets that take them reject lo >= hi as a ValueError."""
+    point = functools.partial(Point.from_json, basis)
+    lo = _param(params, prefix + "interval_lo", point, required=True)
+    hi = _param(params, prefix + "interval_hi", point, required=True)
+    if compare(lo, hi) >= 0:
+        raise ConfigError(f"params.{prefix}interval_lo must lie below "
+                          f"params.{prefix}interval_hi")
+    return lo, hi
+
+
+def _witness_caps(params: dict) -> dict:
+    """The caps of every witness build: params.m_cap, m_max and
+    enumeration_cap as the keywords of build_witness."""
+    return {"m_cap": _param(params, "m_cap", int, 64),
+            "m_max": _param(params, "m_max", int, 64),
+            "tuple_cap": _param(params, "enumeration_cap", int, 10**7)}
 
 
 _encode_str = json.encoder.encode_basestring_ascii  # the C encoder where built
@@ -166,13 +189,11 @@ def _json_text(obj, nl: str = "\n") -> str:
 
 
 def _write_json(path: Path, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_json_text(payload) + "\n")
 
 
 def _write_csv(path: Path, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         for row in rows:
@@ -196,7 +217,7 @@ def _report(command: str, args, cfg: dict, results: dict, status: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_decompose(args, cfg, basis, seq, params, out):
-    idx = _measure_index(seq, _param(params, "measure_index", 0))
+    idx = _param(params, "measure_index", functools.partial(_measure_index, seq), 0)
     spec = decompose(seq[idx].support())
     _write_json(out / "lattice_spec.json", spec.to_json())
     return {"measure_index": idx, "nu": spec.nu, "p": spec.p, "tau": spec.tau,
@@ -204,16 +225,13 @@ def _cmd_decompose(args, cfg, basis, seq, params, out):
 
 
 def _cmd_lattice_count(args, cfg, basis, seq, params, out):
-    idx = _measure_index(seq, _param(params, "measure_index", 0))
+    idx = _param(params, "measure_index", functools.partial(_measure_index, seq), 0)
+    lo, hi = _interval(basis, params)
+    ms = (_param(params, "m_values", _each(int))
+          or [_param(params, "m", int, required=True)])
+    cap = _param(params, "enumeration_cap", int, 10**7)
     spec = decompose(seq[idx].support())
-    lo = _point_param(basis, params, "interval_lo", required=True)
-    hi = _point_param(basis, params, "interval_hi", required=True)
-    ms = _param(params, "m_values") or [int(_param(params, "m", required=True))]
-    cap = int(_param(params, "enumeration_cap", 10**7))
-    rows = []
-    for m in ms:
-        rep = interval_count_ratio(spec, int(m), (lo, hi), cap=cap)
-        rows.append(rep)
+    rows = [interval_count_ratio(spec, m, (lo, hi), cap=cap) for m in ms]
     _write_csv(out / "lattice_count.csv",
                [("m", "count", "predicted", "ratio")] +
                [(r.m, r.count, repr(float((r.predicted_lo + r.predicted_hi) / 2)),
@@ -222,26 +240,25 @@ def _cmd_lattice_count(args, cfg, basis, seq, params, out):
 
 
 def _cmd_find_lambda(args, cfg, basis, seq, params, out):
-    idx = _measure_index(seq, _param(params, "measure_index", 0))
+    idx = _param(params, "measure_index", functools.partial(_measure_index, seq), 0)
     mu = seq[idx]
-    eps = _frac_param(params, "epsilon", required=True)
-    delta = _frac_param(params, "delta", required=True)
-    floor_scale = int(_param(params, "floor_scale", 10**4))
+    eps = _param(params, "epsilon", parse_fraction, required=True)
+    delta = _param(params, "delta", parse_fraction, required=True)
+    floor_scale = _param(params, "floor_scale", int, 10**4)
     res = find_lambda(mu, eps, delta, floor_scale=floor_scale)
     profile = lambda_profile(mu, eps, delta, floor_scale=floor_scale)
-    if args.format == "csv" or _param(params, "emit_profile", True):
+    if args.format == "csv" or _param(params, "emit_profile", bool, True):
         _write_csv(out / "lambda_profile.csv", profile.csv_rows())
     return {"measure_index": idx, "lambda": res.to_json(),
             "profile_pieces": profile.piece_count}
 
 
 def _cmd_build_eg(args, cfg, basis, seq, params, out):
-    idx = _measure_index(seq, _param(params, "measure_index", 0))
+    idx = _param(params, "measure_index", functools.partial(_measure_index, seq), 0)
     mu = seq[idx]
-    eps = _frac_param(params, "epsilon", required=True)
-    m_max = int(_param(params, "m_max", 64))
-    pair = build_eg(mu, eps, m_max=m_max, mu_index=idx,
-                    tuple_cap=int(_param(params, "enumeration_cap", 10**7)))
+    eps = _param(params, "epsilon", parse_fraction, required=True)
+    pair = build_eg(mu, eps, m_max=_param(params, "m_max", int, 64), mu_index=idx,
+                    tuple_cap=_param(params, "enumeration_cap", int, 10**7))
     cert = pair.certify(mu)
     _write_json(out / "eg_pair.json", pair.to_json())
     if not cert["ok"]:
@@ -250,26 +267,12 @@ def _cmd_build_eg(args, cfg, basis, seq, params, out):
             "count_E": len(pair.E), "count_G": len(pair.G), "certificate": cert}
 
 
-def _build_witness_from_params(seq, params):
-    Delta = parse_fraction(_param(params, "Delta", required=True))
-    delta = parse_fraction(_param(params, "delta", required=True))
-    if not 0 < delta < 1:
-        raise ConfigError(f"delta must lie in (0, 1): {delta}")
-    if Delta <= 0:
-        raise ConfigError(f"Delta must be positive: {Delta}")
-    return build_witness(
-        seq, Delta, delta,
-        m_cap=int(_param(params, "m_cap", 64)),
-        m_max=int(_param(params, "m_max", 64)),
-        tuple_cap=int(_param(params, "enumeration_cap", 10**7)))
-
-
 def _cmd_build_witness(args, cfg, basis, seq, params, out):
-    # absent or 0: no trimming
-    trim_to = int(_param(params, "trim_points") or 0)
-    if trim_to:
-        trim_to = _trim_points(trim_to)
-    w = _build_witness_from_params(seq, params)
+    # 0, the default: no trimming
+    trim_to = _param(params, "trim_points", lambda raw: int(raw) and _trim_points(raw), 0)
+    w = build_witness(seq, _param(params, "Delta", parse_fraction, required=True),
+                      _param(params, "delta", parse_fraction, required=True),
+                      **_witness_caps(params))
     _write_json(out / "witness.json", w.to_json())
     results = {"m": w.m, "indices": w.indices, "count_E": w.count_E,
                "count_G": w.count_G,
@@ -282,27 +285,24 @@ def _cmd_build_witness(args, cfg, basis, seq, params, out):
 
 
 def _cmd_verify(args, cfg, basis, seq, params, out):
-    path = args.witness or _param(params, "witness_path")
+    path = args.witness or _param(params, "witness_path", os.fspath)
     if not path:
         raise ConfigError("verify needs --witness or params.witness_path")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             w = SweepOutWitness.from_json(basis, json.load(fh))
-    except FileNotFoundError:
-        raise ConfigError(f"witness file not found: {path}")
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read witness file {path}: {exc.strerror}")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad witness file: {exc}")
     for idx in w.indices:
         if not 0 <= idx < len(seq):
             raise ConfigError(f"bad witness file: index {idx} is outside the "
                               f"{len(seq)} measures of the config")
-    mode = _param(params, "mode", "factor-exact")
-    if mode not in ("factor-exact", "explicit-brute-force", "sampled"):
-        raise ConfigError(f"unknown verify mode: {mode}")
     report = verify_witness(
-        w, seq, mode=mode,
-        explicit_cap=args.explicit_cap or int(_param(params, "explicit_cap", 10**6)),
-        samples=int(_param(params, "samples", 100)), seed=args.seed)
+        w, seq, mode=_param(params, "mode", str, "factor-exact"),
+        explicit_cap=args.explicit_cap or _param(params, "explicit_cap", int, 10**6),
+        samples=_param(params, "samples", int, 100), seed=args.seed)
     _write_json(out / "verification.json", report.to_json())
     if not report.passed:
         raise VerificationFailed(
@@ -311,12 +311,11 @@ def _cmd_verify(args, cfg, basis, seq, params, out):
 
 
 def _cmd_trace(args, cfg, basis, seq, params, out):
-    schedule = _param(params, "schedule", required=True)
-    pairs = [(parse_fraction(a), parse_fraction(b)) for a, b in schedule]
     traces = oscillation_trace(
-        seq, pairs, trim_points=_trim_points(_param(params, "trim_points", 4)),
-        max_sample_points=int(_param(params, "max_sample_points", 24)),
-        m_cap=int(_param(params, "m_cap", 64)))
+        seq, _param(params, "schedule", _each(_fraction_pair), required=True),
+        trim_points=_param(params, "trim_points", _trim_points, 4),
+        max_sample_points=_param(params, "max_sample_points", int, 24),
+        **_witness_caps(params))
     rows = [("entry", "n", "point_id", "value", "running_max", "running_min")]
     for j, tr in enumerate(traces):
         for row in list(tr.csv_rows())[1:]:
@@ -326,12 +325,15 @@ def _cmd_trace(args, cfg, basis, seq, params, out):
 
 
 def _cmd_check_conditions(args, cfg, basis, seq, params, out):
-    cheb = _param(params, "chebyshev")
+    cheb = _param(params, "chebyshev", _object)
     if cheb:
-        cheb_idx = _measure_index(seq, cheb.get("measure_index", 0))
-    deltas = [parse_fraction(d) for d in _param(params, "deltas", ["1/10", "1/100"])]
-    tail = parse_fraction(_param(params, "tail_ratio", "999/1000"))
-    mass_tol = parse_fraction(_param(params, "mass_tol", "1/1000"))
+        cheb_idx = _param(params, "chebyshev.measure_index",
+                          functools.partial(_measure_index, seq), 0)
+        G = IntervalSet.single(basis, *_interval(basis, params, "chebyshev."))
+        cheb_eps = _param(params, "chebyshev.epsilon", parse_fraction, required=True)
+    deltas = _param(params, "deltas", _each(parse_fraction), ["1/10", "1/100"])
+    tail = _param(params, "tail_ratio", parse_fraction, "999/1000")
+    mass_tol = _param(params, "mass_tol", parse_fraction, "1/1000")
     rep = check_condition_one(seq, deltas, tail_ratio=tail, mass_tol=mass_tol)
     rows = [("delta", "n", "value", "mass")]
     for r in rep.rows:
@@ -341,25 +343,18 @@ def _cmd_check_conditions(args, cfg, basis, seq, params, out):
     _write_csv(out / "condition1.csv", rows)
     results = {"condition_1": rep.to_json()}
     if cheb:
-        mu = seq[cheb_idx]
-        lo = Point.from_json(basis, cheb["interval_lo"])
-        hi = Point.from_json(basis, cheb["interval_hi"])
-        from .exactreal import IntervalSet
-
-        G = IntervalSet.single(basis, lo, hi)
-        crep = chebyshev_check(mu, G, parse_fraction(cheb["epsilon"]))
+        crep = chebyshev_check(seq[cheb_idx], G, cheb_eps)
         results["chebyshev"] = crep.to_json()
         if not crep.passed():
             raise VerificationFailed("chebyshev bound failed", report=crep.to_json())
     # unbounded sup-ratio demonstration: a certified witness per target
-    sweep = _param(params, "sup_ratio_targets")
+    sweep = _param(params, "sup_ratio_targets", _each(parse_fraction))
     if sweep:
-        delta = _frac_param(params, "delta", default="1/2")
+        delta = _param(params, "delta", parse_fraction, "1/2")
+        caps = _witness_caps(params)
         rows = []
-        for target in sweep:
-            Delta = parse_fraction(target)
-            w = build_witness(seq, Delta, delta,
-                              m_cap=int(_param(params, "m_cap", 64)))
+        for Delta in sweep:
+            w = build_witness(seq, Delta, delta, **caps)
             rows.append({"Delta": fraction_str(Delta), "m": w.m,
                          "indices": w.indices,
                          "ratio": repr(float(Fraction(w.count_E, w.count_G)))})
@@ -382,9 +377,13 @@ _HANDLERS = {
 def run(args) -> int:
     cfg = _load_config(args.config)
     basis = _basis_from_config(cfg, args.precision_bits)
-    seq = _measures_from_config(cfg, basis)
+    seq = MeasureSequence.from_json(basis, cfg.get("measures"))
     params = dict(cfg.get("params", {}))
     out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
     command = args.command
     try:
         results = _HANDLERS[command](args, cfg, basis, seq, params, out)
@@ -402,8 +401,6 @@ def run(args) -> int:
         results = {"error": str(exc)}
         status = "resource-cap"
         code = 2
-    except (ValueError, KeyError, IndexError) as exc:
-        raise ConfigError(str(exc))
     except ConfigError:
         raise
     except Exception as exc:

@@ -2,8 +2,13 @@
 
 The CLI maps these onto process exit codes: verification-style failures
 (an expected inequality could not be established) exit 1, resource caps
-exit 2, configuration problems exit 3. Any other exception is a fault of
-the program and exits 4.
+exit 2, bad input exits 3. Any other exception is a fault of the program
+and exits 4, a plain ValueError included.
+
+ConfigError, a ValueError, is the one error for bad input: every library
+check on a value that a caller supplies raises it where it checks (a
+generator spec, a measure, eps, delta, a lattice level, a witness file).
+Checks on values that the program computed stay plain ValueErrors.
 """
 
 
@@ -64,5 +69,6 @@ class VerificationFailed(SweepoutError):
         self.report = report
 
 
-class ConfigError(SweepoutError):
-    """Invalid configuration file or parameter set."""
+class ConfigError(SweepoutError, ValueError):
+    """Bad input: a config, parameter, witness file or caller-supplied
+    value that a check rejected."""

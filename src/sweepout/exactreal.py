@@ -54,7 +54,7 @@ from functools import cmp_to_key
 from itertools import accumulate, compress, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PrecisionExhausted
+from .errors import ConfigError, PrecisionExhausted
 
 DEFAULT_PRECISION_CAP = 1024
 
@@ -64,7 +64,9 @@ _SQUAREFREE_PRIME_BOUND = 10**6
 def parse_fraction(text) -> Fraction:
     """Parse "p/q", integer or decimal strings into an exact Fraction.
 
-    Malformed text, a zero denominator included, raises ValueError."""
+    A zero denominator raises ConfigError; other malformed text raises
+    the ValueError of Fraction, which callers that know the field name
+    (the CLI's parameter reader) turn into a ConfigError naming it."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -72,7 +74,7 @@ def parse_fraction(text) -> Fraction:
     try:
         return Fraction(str(text).strip())
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ConfigError(f"zero denominator in {text!r}") from None
 
 
 def fraction_str(q: Fraction) -> str:
@@ -109,26 +111,29 @@ class Generator:
 
     @classmethod
     def parse(cls, spec: str) -> "Generator":
+        """rat:<q>, sqrt:<n> or dec:<q>@<bits>, q > 0 and n >= 2
+        squarefree; any other spec raises ConfigError."""
         spec = spec.strip()
-        if spec.startswith("rat:"):
-            v = parse_fraction(spec[4:])
-            if v <= 0:
-                raise ValueError(f"generator must be positive: {spec}")
-            return cls("rat", value=v)
-        if spec.startswith("sqrt:"):
-            n = int(spec[5:])
-            if n < 2:
-                raise ValueError(f"sqrt generator needs an integer >= 2: {spec}")
-            if not _is_squarefree(n):
-                raise ValueError(f"sqrt radicand must be squarefree: {spec}")
-            return cls("sqrt", radicand=n)
-        m = re.fullmatch(r"dec:([0-9.eE+/-]+)@(\d+)", spec)
-        if m:
-            v = parse_fraction(m.group(1))
-            if v <= 0:
-                raise ValueError(f"generator must be positive: {spec}")
-            return cls("dec", value=v, bits=int(m.group(2)))
-        raise ValueError(f"unrecognized generator spec: {spec!r}")
+        kind, _, arg = spec.partition(":")
+        dec = re.fullmatch(r"([0-9.eE+/-]+)@(\d+)", arg) if kind == "dec" else None
+        try:
+            if kind == "rat":
+                gen = cls("rat", value=parse_fraction(arg))
+            elif kind == "sqrt":
+                gen = cls("sqrt", radicand=int(arg))
+            elif dec:
+                gen = cls("dec", value=parse_fraction(dec.group(1)), bits=int(dec.group(2)))
+            else:
+                raise ValueError(spec)
+        except ValueError:
+            raise ConfigError(f"unrecognized generator spec: {spec!r}") from None
+        if kind != "sqrt" and gen.value <= 0:
+            raise ConfigError(f"generator must be positive: {spec}")
+        if kind == "sqrt" and gen.radicand < 2:
+            raise ConfigError(f"sqrt generator needs an integer >= 2: {spec}")
+        if kind == "sqrt" and not _is_squarefree(gen.radicand):
+            raise ConfigError(f"sqrt radicand must be squarefree: {spec}")
+        return gen
 
     def spec_string(self) -> str:
         if self.kind == "rat":
@@ -178,14 +183,14 @@ class GeneratorBasis:
             gens.insert(0, Generator("rat", value=Fraction(1)))
         for g in gens[1:]:
             if g.kind == "rat":
-                raise ValueError("only the leading generator may be rational")
+                raise ConfigError("only the leading generator may be rational")
         # {1, sqrt a_1, ..., sqrt a_k} is independent over Q exactly when
         # no a_i and no product a_i * a_j is a perfect square
         radicands = [g.radicand for g in gens if g.kind == "sqrt"]
         for i, a in enumerate(radicands):
             for b in [1] + radicands[:i]:
                 if _is_square(a * b):
-                    raise ValueError(f"{b} * {a} is a perfect square, so the "
+                    raise ConfigError(f"{b} * {a} is a perfect square, so the "
                                      f"sqrt generators are rationally dependent")
         all_surds = all(g.kind in ("rat", "sqrt") for g in gens)
         self.gens = tuple(gens)
@@ -229,7 +234,7 @@ class GeneratorBasis:
     def point(self, coeffs) -> "Point":
         coeffs = [parse_fraction(c) for c in coeffs]
         if len(coeffs) != self.dim:
-            raise ValueError(f"expected {self.dim} coefficients, got {len(coeffs)}")
+            raise ConfigError(f"expected {self.dim} coefficients, got {len(coeffs)}")
         den = math.lcm(*(c.denominator for c in coeffs))
         return Point(self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
@@ -854,20 +859,10 @@ class IntervalSet:
     def to_json(self):
         return [[lo.to_json(), hi.to_json()] for lo, hi in self.intervals]
 
-    @classmethod
-    def from_json(cls, basis, obj) -> "IntervalSet":
-        return cls.canonicalize(
-            basis, [(Point.from_json(basis, lo), Point.from_json(basis, hi)) for lo, hi in obj]
-        ) if obj else cls.empty(basis)
-
     def __repr__(self):
         parts = ", ".join(f"({float(lo):.6g}, {float(hi):.6g})" for lo, hi in self.intervals)
         return f"IntervalSet[{parts}]"
 
-
-def canonicalize(basis: GeneratorBasis, raw) -> IntervalSet:
-    """Module-level convenience wrapper around IntervalSet.canonicalize."""
-    return IntervalSet.canonicalize(basis, raw)
 
 
 def min_gap(points: Iterable[Point]) -> Point:

@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from operator import attrgetter
 
-from .errors import CapExceeded, LambdaNotFound
+from .errors import CapExceeded, ConfigError, LambdaNotFound
 from .exactreal import (IntervalSet, Point, certified_clusters, compare,
                         cut_limit, decimal_enclosure_str, escalate,
                         floor_point, fraction_str, parse_fraction,
@@ -78,7 +78,7 @@ def active_atoms(mu: DiscreteMeasure, eps: Fraction, lam: Fraction) -> list[int]
     """Indices of atoms with frac(x_i/lam) strictly inside (eps, 1-eps)."""
     lam = parse_fraction(lam)
     if lam <= 0:
-        raise ValueError("lam must be positive")
+        raise ConfigError("lam must be positive")
     lo = mu.basis.rational(eps)
     hi = mu.basis.rational(1 - eps)
     out = []
@@ -100,13 +100,13 @@ def window_value(mu: DiscreteMeasure, eps: Fraction, lam: Fraction) -> Fraction:
 
 def _check_params(eps: Fraction, delta: Fraction, floor_scale: int) -> None:
     if not 0 < eps < Fraction(1, 3):
-        raise ValueError("eps must lie in (0, 1/3)")
+        raise ConfigError("eps must lie in (0, 1/3)")
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise ConfigError("delta must be positive")
     # the floor is r / floor_scale: 0 would divide by zero, and no window
     # upper end ever falls to a negative floor
     if floor_scale < 1:
-        raise ValueError(f"floor_scale must be a positive integer, got {floor_scale}")
+        raise ConfigError(f"floor_scale must be a positive integer, got {floor_scale}")
 
 
 def _mass_units(mu: DiscreteMeasure) -> tuple[int, list[int]]:
@@ -624,12 +624,12 @@ def frac_window_sets(lam: Fraction, eps: Fraction, x_l: Point,
     lam = parse_fraction(lam)
     eps = parse_fraction(eps)
     if lam <= 0:
-        raise ValueError("lam must be positive")
+        raise ConfigError("lam must be positive")
     if not 0 < eps < Fraction(1, 3):
-        raise ValueError("eps must lie in (0, 1/3)")
+        raise ConfigError("eps must lie in (0, 1/3)")
     basis = x_l.basis
     if x_l.sign() <= 0:
-        raise ValueError("x_l must be positive")
+        raise ConfigError("x_l must be positive")
     span = floor_point(x_l * (1 / lam)) + 2
     if 2 * span + 2 > window_cap:
         raise CapExceeded(f"{2 * span + 2} windows exceed the cap {window_cap}")

@@ -35,14 +35,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import kernel
-from .errors import CapExceeded
+from .errors import CapExceeded, ConfigError
 from .exactreal import (GeneratorBasis, IntervalSet, Point, compare,
                         escalate, fraction_str, sort_points)
 
 DEFAULT_TUPLE_CAP = 10**7
 
 
-class NuOneDensityError(ValueError):
+class NuOneDensityError(ConfigError):
     """interval_count_ratio requires nu >= 2; rational (nu = 1) supports
     are counted exactly with count_progression instead."""
 
@@ -184,13 +184,13 @@ def decompose(X: Sequence[Point]) -> LatticeSpec:
     """
     pts = sort_points({p.key: p for p in X}.values())
     if not pts:
-        raise ValueError("empty support")
+        raise ConfigError("empty support")
     basis = pts[0].basis
     for p in pts:
         if p.basis != basis:
             raise ValueError("support points over different bases")
         if p.sign() <= 0 or compare(p, basis.rational(1)) >= 0:
-            raise ValueError(f"support point outside (0,1): {p!r}")
+            raise ConfigError(f"support point outside (0,1): {p!r}")
     cols = [p.coeffs for p in reversed(pts)]
     rows = [list(row) for row in zip(*cols)]
     pivots = []
@@ -268,7 +268,7 @@ def _filter_data(spec: LatticeSpec, window: IntervalSet, bounds: Sequence[int]):
 def _classify(spec: LatticeSpec, m: int, window: IntervalSet, cap: int, collect: bool):
     """Exact (count, hit_tuples) of A_m inside window."""
     if m < 0:
-        raise ValueError(f"lattice level m must be >= 0, got m = {m}")
+        raise ConfigError(f"lattice level m must be >= 0, got m = {m}")
     bounds = spec.bounds(m)
     total = spec.tuple_count(m)
     if total > cap:
@@ -356,7 +356,7 @@ def interval_count_ratio(spec: LatticeSpec, m: int, interval: tuple[Point, Point
     diagnostic only.
     """
     if m < 1:
-        raise ValueError(f"density ratio needs m >= 1, got m = {m}")
+        raise ConfigError(f"density ratio needs m >= 1, got m = {m}")
     if spec.nu < 2:
         raise NuOneDensityError(
             "density ratio needs nu >= 2; use count_progression for "
@@ -368,9 +368,9 @@ def interval_count_ratio(spec: LatticeSpec, m: int, interval: tuple[Point, Point
     length = hi - lo
     one = spec.basis.rational(1)
     if compare(lo, -one) < 0 or compare(hi, one) > 0:
-        raise ValueError("interval must lie inside (-1, 1)")
+        raise ConfigError("interval must lie inside (-1, 1)")
     if compare(length * spec.p, spec.Y[-1]) > 0:
-        raise ValueError("interval longer than y_nu / p")
+        raise ConfigError("interval longer than y_nu / p")
     count = lattice_count(spec, m, window, cap=cap)
     glo, ghi = spec.gamma.enclosure(160)
     llo, lhi = length.enclosure(160)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import ConfigError
 from .exactreal import (GeneratorBasis, IntervalSet, Point, PointSet,
                         compare, floor_point, fraction_str, parse_fraction,
                         sort_points)
@@ -43,7 +44,7 @@ class DiscreteMeasure:
 
     def __init__(self, atoms: Sequence[Point], masses: Sequence[Fraction]):
         if len(atoms) != len(masses) or not atoms:
-            raise ValueError("need equally many atoms and masses, at least one")
+            raise ConfigError("need equally many atoms and masses, at least one")
         basis = atoms[0].basis
         acc: dict = {}
         order: dict = {}
@@ -52,7 +53,7 @@ class DiscreteMeasure:
                 raise ValueError("atoms over different bases")
             m = parse_fraction(m)
             if m <= 0:
-                raise ValueError("masses must be positive")
+                raise ConfigError("masses must be positive")
             key = a.key
             if key in acc:
                 acc[key] += m
@@ -63,7 +64,7 @@ class DiscreteMeasure:
         one = basis.rational(1)
         for p in pts:
             if p.sign() <= 0 or compare(p, one) >= 0:
-                raise ValueError(f"atom outside (0,1): {p!r}")
+                raise ConfigError(f"atom outside (0,1): {p!r}")
         self.basis = basis
         self.atoms = tuple(pts)
         self.masses = tuple(acc[p.key] for p in pts)
@@ -120,14 +121,14 @@ class MeasureSequence:
     checks the structure of every entry at once and parses each measure on
     its first read, seq[i], and keeps it. A bad value in an entry (rational
     syntax, a zero denominator, an atom outside (0, 1), a mass that is not
-    positive) raises ValueError naming the entry, measures[i], when read.
+    positive) raises ConfigError naming the entry, measures[i], when read.
     """
 
     __slots__ = ("basis", "_raw", "_built")
 
     def __init__(self, measures: Sequence[DiscreteMeasure]):
         if not measures:
-            raise ValueError("empty measure sequence")
+            raise ConfigError("empty measure sequence")
         basis = measures[0].basis
         for mu in measures:
             if mu.basis != basis:
@@ -146,7 +147,7 @@ class MeasureSequence:
             try:
                 mu = DiscreteMeasure.from_json(self.basis, self._raw[i])
             except ValueError as exc:
-                raise ValueError(f"measures[{i}]: {exc}") from None
+                raise ConfigError(f"measures[{i}]: {exc}") from None
             self._built[i] = mu
         return mu
 
@@ -159,24 +160,24 @@ class MeasureSequence:
     @classmethod
     def from_json(cls, basis: GeneratorBasis, obj) -> "MeasureSequence":
         """The sequence of the JSON list obj, its measures unparsed. Raises
-        ValueError naming the path, measures[i], unless obj is a non-empty
+        ConfigError naming the path, measures[i], unless obj is a non-empty
         list of objects whose atoms and masses are lists of equal, non-zero
         length, each atom an object with a coeffs list or a scalar."""
         if type(obj) is not list or not obj:
-            raise ValueError("measures must be a non-empty list")
+            raise ConfigError("measures must be a non-empty list")
         for i, entry in enumerate(obj):
             entry = entry if type(entry) is dict else {}
             atoms, masses = entry.get("atoms"), entry.get("masses")
             if type(atoms) is not list or type(masses) is not list:
-                raise ValueError(f"measures[{i}] is not an object with lists "
+                raise ConfigError(f"measures[{i}] is not an object with lists "
                                  f"atoms and masses")
             if not atoms or len(atoms) != len(masses):
-                raise ValueError(f"measures[{i}] needs equally many atoms and "
+                raise ConfigError(f"measures[{i}] needs equally many atoms and "
                                  f"masses, at least one")
             for j, atom in enumerate(atoms):
                 if not (type(atom.get("coeffs")) is list if type(atom) is dict
                         else isinstance(atom, (str, int, float))):
-                    raise ValueError(f"measures[{i}].atoms[{j}] is neither an "
+                    raise ConfigError(f"measures[{i}].atoms[{j}] is neither an "
                                      f"object with a coeffs list nor a scalar")
         seq = cls.__new__(cls)
         seq.basis = basis
@@ -391,7 +392,7 @@ def check_condition_one(seq: MeasureSequence, deltas: Sequence[Fraction],
     for d in deltas:
         d = parse_fraction(d)
         if not 0 < d <= Fraction(1, 2):
-            raise ValueError(f"delta must lie in (0, 1/2]: {d}")
+            raise ConfigError(f"delta must lie in (0, 1/2]: {d}")
         values = [mu.mass_near_zero(d) for mu in seq]
         good = [v > tail_ratio * m for v, m in zip(values, masses)]
         tail = None
@@ -447,7 +448,7 @@ def chebyshev_check(mu: DiscreteMeasure, G: IntervalSet, eps: Fraction) -> Cheby
     """
     eps = parse_fraction(eps)
     if eps <= 0:
-        raise ValueError("epsilon must be positive")
+        raise ConfigError("epsilon must be positive")
     g_measure = to_torus(G).measure()
     expected = g_measure * mu.total_mass
     translates = mu.basis.zero()

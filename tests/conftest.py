@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sweepout.errors import ConfigError
 from sweepout.exactreal import GeneratorBasis
 from sweepout.measures import DiscreteMeasure, MeasureSequence
 
@@ -46,3 +47,19 @@ def geometric_sequence(basis, count):
 @pytest.fixture(scope="session")
 def geom_seq(surd_basis):
     return geometric_sequence(surd_basis, 40)
+
+
+def raises_config_error(call, *args, **kwargs):
+    """call rejects its input with a ConfigError, which still meets
+    pytest.raises(ValueError): callers that catch ValueError see it."""
+    with pytest.raises(ValueError) as info:
+        call(*args, **kwargs)
+    assert isinstance(info.value, ConfigError), repr(info.value)
+
+
+def raises_plain_value_error(call, *args, **kwargs):
+    """call rejects a value the program computed: a ValueError that is not
+    a ConfigError, so the CLI reports it as an internal error."""
+    with pytest.raises(ValueError) as info:
+        call(*args, **kwargs)
+    assert not isinstance(info.value, ConfigError), repr(info.value)

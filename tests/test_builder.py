@@ -11,7 +11,7 @@ from sweepout.builder import (EGPair, SweepOutWitness, build_eg,
 from sweepout.errors import (CapExceeded, GrowthExhausted, SequenceExhausted)
 from sweepout.exactreal import PointSet, compare, min_gap
 from sweepout.measures import DiscreteMeasure, MeasureSequence, convolve_indicator
-from tests.conftest import geometric_sequence
+from tests.conftest import geometric_sequence, raises_config_error
 
 
 def rpoints(basis, values):
@@ -297,3 +297,25 @@ def test_oscillation_trace_second_entry(surd_basis):
     assert len(traces) == 2
     vals = [v for _, _, v, _, _ in traces[1].rows]
     assert max(vals) > F(3, 4)
+
+
+def test_bad_input_raises_config_error(geom_seq, mu_pair, surd_basis, monkeypatch):
+    from sweepout import builder
+
+    raises_config_error(build_eg, mu_pair, F(1, 3))
+    raises_config_error(build_witness, geom_seq, F(0), F(1, 2))
+    raises_config_error(build_witness, geom_seq, F(1, 12), F(1))
+    raises_config_error(oscillation_trace, geom_seq, [])
+    w = build_witness(geom_seq, F(1, 12), F(1, 2))
+    # an unknown mode is rejected before any check runs
+    monkeypatch.setattr(builder, "_factor_checks", None)
+    raises_config_error(verify_witness, w, geom_seq, mode="exact")
+    blob = json.loads(json.dumps(w.to_json()))
+    blob["m"] += 1
+    raises_config_error(SweepOutWitness.from_json, surd_basis, blob)
+    blob["m"] -= 1
+    blob["indices"][0] += 1
+    raises_config_error(SweepOutWitness.from_json, surd_basis, blob)
+    pair = blob["factors"][0]
+    raises_config_error(EGPair.from_json, surd_basis, {**pair, "E": []})
+    raises_config_error(EGPair.from_json, surd_basis, {**pair, "G": pair["G"][::-1]})

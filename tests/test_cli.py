@@ -628,3 +628,105 @@ def test_writer_matches_stdlib(value):
 def test_writer_rejects_other_types(value):
     with pytest.raises(TypeError):
         cli._json_text(value)
+
+
+@pytest.mark.parametrize("exc", [ValueError("a fault of the program"),
+                                 KeyError("a fault of the program")])
+def test_library_value_and_key_errors_exit_4(config, capsys, monkeypatch, exc):
+    # only a ConfigError is bad input: any other ValueError or KeyError
+    # raised inside a stage is a fault of the program, not a config error
+    def broken(support):
+        raise exc
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    capsys.readouterr()
+    assert run(config, "decompose") == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"decompose: internal-error: {type(exc).__name__}: ")
+    rep = report(config, "decompose")
+    assert rep["status"] == "internal-error"
+    assert "in broken" in "\n".join(rep["results"]["traceback"])
+
+
+@pytest.mark.parametrize("command, params, key", [
+    ("decompose", {"measure_index": "x"}, "measure_index"),
+    ("lattice-count", {"interval_lo": ["0"]}, "interval_lo"),
+    ("lattice-count", {"interval_hi": {"nums": ["0"]}}, "interval_hi"),
+    ("lattice-count", {"interval_lo": "1/2", "interval_hi": "2/5"}, "interval_lo"),
+    ("lattice-count", {"m_values": 5}, "m_values"),
+    ("lattice-count", {"m_values": [], "m": "x"}, "m"),
+    ("lattice-count", {"enumeration_cap": "x"}, "enumeration_cap"),
+    ("find-lambda", {"epsilon": "x"}, "epsilon"),
+    ("find-lambda", {"delta": [1]}, "delta"),
+    ("find-lambda", {"floor_scale": "x"}, "floor_scale"),
+    ("build-eg", {"m_max": "x"}, "m_max"),
+    ("build-witness", {"Delta": "1/x"}, "Delta"),
+    ("build-witness", {"m_cap": "x"}, "m_cap"),
+    ("build-witness", {"trim_points": "x"}, "trim_points"),
+    ("verify", {"witness_path": 5}, "witness_path"),
+    ("verify", {"explicit_cap": "x"}, "explicit_cap"),
+    ("verify", {"samples": "x"}, "samples"),
+    ("trace", {"schedule": [["1/12"]]}, "schedule"),
+    ("trace", {"max_sample_points": "x"}, "max_sample_points"),
+    ("check-conditions", {"chebyshev": "oops"}, "chebyshev"),
+    ("check-conditions", {"chebyshev": {**_CHEBYSHEV, "measure_index": "x"}},
+     "chebyshev.measure_index"),
+    ("check-conditions", {"chebyshev": {"interval_hi": "1/5", "epsilon": "1/4"}},
+     "chebyshev.interval_lo"),
+    ("check-conditions", {"chebyshev": {**_CHEBYSHEV, "interval_lo": "1/2"}},
+     "chebyshev.interval_lo"),
+    ("check-conditions", {"chebyshev": {**_CHEBYSHEV, "epsilon": "x"}},
+     "chebyshev.epsilon"),
+    ("check-conditions", {"deltas": "1/10"}, "deltas"),
+    ("check-conditions", {"tail_ratio": "x"}, "tail_ratio"),
+    ("check-conditions", {"mass_tol": "x"}, "mass_tol"),
+    ("check-conditions", {"sup_ratio_targets": 5}, "sup_ratio_targets"),
+])
+def test_param_of_wrong_type_or_syntax_exit_3(tmp_path, capsys, command, params, key):
+    # every parameter the CLI reads: a value of the wrong type or syntax
+    # is a config error on one line that names it, never exit 4
+    write_config(tmp_path)
+    extra = ()
+    if command == "verify" and "witness_path" not in params:
+        assert run(tmp_path, "build-witness") == 0
+        extra = ("--witness", str(tmp_path / "out" / "witness.json"))
+    write_config(tmp_path, params=params)
+    capsys.readouterr()
+    assert run(tmp_path, command, extra=extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"params.{key}" in err
+
+
+def test_unknown_verify_mode_exit_3(config, capsys):
+    # verify_witness is the one check of the mode, before any check runs
+    assert run(config, "build-witness") == 0
+    write_config(config, params={"mode": "exact"})
+    capsys.readouterr()
+    assert run(config, "verify",
+               extra=("--witness", str(config / "out" / "witness.json"))) == 3
+    assert capsys.readouterr().err == "config error: unknown verify mode: exact\n"
+
+
+def test_out_not_a_directory_exit_3(config, capsys):
+    # --out is created once, before the stage runs; a path that cannot be
+    # a directory is a config error naming it, not a traceback
+    (config / "afile").write_text("")
+    capsys.readouterr()
+    assert run(config, "decompose", out="afile/x") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"config error: cannot create output directory {config / 'afile/x'}: ")
+
+
+def test_unreadable_config_or_witness_exit_3(config, capsys):
+    # a directory where a file is expected: one line that names the path
+    capsys.readouterr()
+    assert main(["decompose", "--config", str(config), "--out",
+                 str(config / "out")]) == 3
+    assert capsys.readouterr().err == (f"config error: cannot read config file "
+                                       f"{config}: Is a directory\n")
+    assert run(config, "verify", extra=("--witness", str(config))) == 3
+    assert capsys.readouterr().err == (f"config error: cannot read witness file "
+                                       f"{config}: Is a directory\n")

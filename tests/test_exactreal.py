@@ -15,6 +15,7 @@ from sweepout.exactreal import (Generator, GeneratorBasis, IntervalSet, Point,
                                 decimal_enclosure_str, floor_point, min_gap,
                                 parse_fraction, scaled_approx, sort_points,
                                 torus_lifts)
+from tests.conftest import raises_config_error, raises_plain_value_error
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 
@@ -826,3 +827,25 @@ def test_parse_fraction():
     assert parse_fraction("2/5") == F(2, 5)
     assert parse_fraction("0.25") == F(1, 4)
     assert parse_fraction(3) == 3
+
+
+def test_bad_input_raises_config_error(surd_basis, rat_basis):
+    # a check on a value that a caller supplies raises ConfigError
+    raises_config_error(parse_fraction, "1/0")
+    for spec in ("sqrt:4", "sqrt:1", "rat:-1", "dec:0.5", "nope:3", "rat:x",
+                 "sqrt:x", "dec:-1@8"):
+        raises_config_error(Generator.parse, spec)
+    raises_config_error(GeneratorBasis.from_specs, ["sqrt:2", "sqrt:2"])
+    raises_config_error(GeneratorBasis, [Generator.parse("rat:2"),
+                                         Generator.parse("rat:3")])
+    raises_config_error(surd_basis.point, ["0", "1/2"])
+    # text that is no rational keeps the ValueError of Fraction, which the
+    # CLI's parameter reader turns into an error naming the parameter
+    raises_plain_value_error(parse_fraction, "x")
+    # checks on values that the program computed stay plain ValueErrors
+    other = GeneratorBasis.from_specs(["sqrt:5"])
+    raises_plain_value_error(compare, surd_basis.rational(0), other.rational(1))
+    raises_plain_value_error(IntervalSet.canonicalize, rat_basis, [(1, 1)])
+    raises_plain_value_error(min_gap, [])
+    raises_plain_value_error(exactreal.max_abs, [])
+    raises_plain_value_error(surd_basis.point(["0", "1", "0"]).rational_value)

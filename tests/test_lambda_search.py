@@ -15,6 +15,7 @@ from sweepout.lambda_search import (LambdaResult, WindowConstraints, _End,
                                     find_lambda, frac_window_sets,
                                     lambda_profile, window_value)
 from sweepout.measures import DiscreteMeasure
+from tests.conftest import raises_config_error
 
 
 @pytest.fixture(scope="module")
@@ -759,3 +760,14 @@ def test_sweep_holds_near_ties_at_block_edge(rat_basis, monkeypatch, scale, band
         # the cut held p back while u was unread
         assert any(p.mid in held and u.mid in unread for held, unread in calls)
         assert got == _trace(_heap_sweep, mu, eps, r, lam_floor, 10**6)
+
+
+def test_bad_input_raises_config_error(single_atom):
+    raises_config_error(find_lambda, single_atom, F(1, 3), F(1, 10))
+    raises_config_error(find_lambda, single_atom, F(1, 4), F(0))
+    raises_config_error(lambda_profile, single_atom, F(1, 4), F(1, 10), floor_scale=0)
+    raises_config_error(lambda_search.active_atoms, single_atom, F(1, 4), F(0))
+    x_l = single_atom.x_l
+    raises_config_error(frac_window_sets, F(0), F(1, 4), x_l)
+    raises_config_error(frac_window_sets, F(1, 10), F(1, 3), x_l)
+    raises_config_error(frac_window_sets, F(1, 10), F(1, 4), -x_l)

@@ -7,6 +7,7 @@ import pytest
 
 from sweepout.errors import CapExceeded, PrecisionExhausted
 from sweepout.exactreal import GeneratorBasis, IntervalSet, compare
+from sweepout import kernel
 from sweepout.lattice import (DEFAULT_TUPLE_CAP, ClosureCertificate,
                               CountReport, LatticeSpec, NuOneDensityError,
                               _classify, _filter_data, count_progression,
@@ -14,6 +15,7 @@ from sweepout.lattice import (DEFAULT_TUPLE_CAP, ClosureCertificate,
                               expected_cardinality, interval_count_ratio,
                               lattice_count, lattice_hits,
                               shift_closure_check)
+from tests.conftest import raises_config_error, raises_plain_value_error
 
 
 @pytest.fixture(scope="module")
@@ -523,3 +525,24 @@ def test_filter_guard_bounds_float_error():
             for n, y in zip(tup, spec.Y):
                 value = value + y * n
             assert _within(s, value.enclosure(256), guard)
+
+
+def test_bad_input_raises_config_error(surd_spec, surd_basis, rat_basis):
+    import dataclasses
+
+    raises_config_error(decompose, [])
+    raises_config_error(decompose, [rat_basis.rational(F(3, 2))])
+    window = (surd_basis.rational(0), surd_basis.rational(F(1, 5)))
+    raises_config_error(interval_count_ratio, surd_spec, 0, window)
+    raises_config_error(lattice_count, surd_spec, -1, IntervalSet.single(surd_basis, *window))
+    raises_config_error(interval_count_ratio, surd_spec, 5,
+                        (surd_basis.rational(-2), surd_basis.rational(0)))
+    raises_config_error(interval_count_ratio, surd_spec, 5,
+                        (surd_basis.rational(0), surd_basis.rational(F(1, 2))))
+    spec1 = decompose([rat_basis.rational(F(1, 4)), rat_basis.rational(F(1, 2))])
+    raises_config_error(interval_count_ratio, spec1, 5,
+                        (rat_basis.rational(0), rat_basis.rational(F(1, 8))))
+    # checks on values that the program computed stay plain ValueErrors
+    raises_plain_value_error(dataclasses.replace(surd_spec, tau=surd_spec.tau + 1).validate)
+    raises_plain_value_error(kernel.classify_tuples, [0.5, 0.0], [2, 2], [0.0, 1.0],
+                             1e-12, False)

@@ -9,8 +9,10 @@ from sweepout.exactreal import GeneratorBasis, IntervalSet, PointSet
 from sweepout.measures import (DiscreteMeasure, MeasureSequence,
                                chebyshev_check, check_condition_one,
                                convolve_indicator, min_on_interval,
-                               step_profile, to_torus, translate_torus)
-from tests.conftest import geometric_sequence
+                               step_profile, to_torus, torus_pieces,
+                               translate_torus)
+from tests.conftest import (geometric_sequence, raises_config_error,
+                            raises_plain_value_error)
 
 
 def rational_measure(basis, pairs):
@@ -252,3 +254,21 @@ def test_chebyshev_randomized_bound(rat_basis):
         rep = chebyshev_check(mu, G, eps)
         assert rep.identity_ok
         assert rep.bound_ok
+
+
+def test_bad_input_raises_config_error(rat_basis):
+    half = rat_basis.rational(F(1, 2))
+    raises_config_error(DiscreteMeasure, [half], [])
+    raises_config_error(DiscreteMeasure, [half], [F(0)])
+    raises_config_error(DiscreteMeasure, [rat_basis.rational(F(3, 2))], [F(1)])
+    raises_config_error(MeasureSequence, [])
+    raises_config_error(MeasureSequence.from_json, rat_basis, [])
+    lazy = MeasureSequence.from_json(rat_basis, [{"atoms": ["3/2"], "masses": ["1"]}])
+    raises_config_error(lazy.__getitem__, 0)
+    mu = DiscreteMeasure([half], [F(1)])
+    raises_config_error(check_condition_one, MeasureSequence([mu]), [F(0)])
+    G = IntervalSet.single(rat_basis, 0, F(1, 4))
+    raises_config_error(chebyshev_check, mu, G, F(0))
+    # checks on values that the program computed stay plain ValueErrors
+    raises_plain_value_error(min_on_interval, mu, G, half, half)
+    raises_plain_value_error(torus_pieces, IntervalSet.single(rat_basis, 0, 2))
