@@ -122,6 +122,9 @@ class EGPair:
             if any(compare(a, b) >= 0 for a, b in zip(pts, pts[1:])):
                 raise ConfigError(f"pair for measure {pair.mu_index}: {name} "
                                  f"is not strictly ascending")
+        # the separation chain reads the gap of E u G, which {0} lacks
+        if pair.E == pair.G and len(pair.E) == 1 and pair.E[0].is_zero():
+            raise ConfigError(f"pair for measure {pair.mu_index}: E and G are both {{0}}")
         return pair
 
 
@@ -485,6 +488,9 @@ class SweepOutWitness:
                              f"{len(w.factors)} factors and {len(w.count_F)} counts")
         if any(i != f.mu_index for i, f in zip(w.indices, w.factors)):
             raise ConfigError("indices disagree with the factors' mu_index")
+        # sampled verification draws the E factor with weights count_F
+        if min(w.count_F) < 1:
+            raise ConfigError(f"count_F = {w.count_F} holds a count below 1")
         return w
 
 
@@ -885,22 +891,21 @@ class WitnessTrace:
 
 def oscillation_trace(seq: MeasureSequence, schedule: Sequence[tuple[Fraction, Fraction]],
                       trim_points: int = 4, max_sample_points: int = 24,
-                      **build_kw) -> list[WitnessTrace]:
+                      m_cap: int = 64) -> list[WitnessTrace]:
     """Empirical oscillation along the sequence on built witness sets.
 
-    For each schedule entry a witness is built, with the caps build_kw of
-    build_witness, and trimmed to explicit scale; the convolution of 1_A
-    is then evaluated exactly at the component centers of B for every
-    measure of the sequence, giving per-point running max and min. The
-    values rise above delta at the witness indices and fall back to 0 once
-    the measures concentrate, provided the sequence extends beyond the
-    last witness index.
+    For each schedule entry a witness is built and trimmed to explicit
+    scale; the convolution of 1_A is then evaluated exactly at the
+    component centers of B for every measure of the sequence, giving
+    per-point running max and min. The values rise above delta at the
+    witness indices and fall back to 0 once the measures concentrate,
+    provided the sequence extends beyond the last witness index.
     """
     if not schedule:
         raise ConfigError("empty schedule")
     traces = []
     for Delta, delta in schedule:
-        w = trim_witness(build_witness(seq, Delta, delta, **build_kw), seq,
+        w = trim_witness(build_witness(seq, Delta, delta, m_cap=m_cap), seq,
                          max_points=trim_points)
         g_pts = w.explicit_G()
         e_pairs = w.explicit_E()

@@ -35,9 +35,6 @@ from .lambda_search import find_lambda, lambda_profile
 from .lattice import decompose, interval_count_ratio
 from .measures import MeasureSequence, chebyshev_check, check_condition_one
 
-COMMANDS = ("decompose", "lattice-count", "find-lambda", "build-eg",
-            "build-witness", "verify", "trace", "check-conditions")
-
 
 def _load_config(path: str) -> dict:
     try:
@@ -140,8 +137,7 @@ def _interval(basis: GeneratorBasis, params: dict, prefix: str = "") -> tuple[Po
 
 
 def _witness_caps(params: dict) -> dict:
-    """The caps of every witness build: params.m_cap, m_max and
-    enumeration_cap as the keywords of build_witness."""
+    """params.m_cap, m_max and enumeration_cap as build_witness keywords."""
     return {"m_cap": _param(params, "m_cap", int, 64),
             "m_max": _param(params, "m_max", int, 64),
             "tuple_cap": _param(params, "enumeration_cap", int, 10**7)}
@@ -195,9 +191,7 @@ def _write_json(path: Path, payload: dict):
 
 def _write_csv(path: Path, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(fh).writerows(rows)
 
 
 def _report(command: str, args, cfg: dict, results: dict, status: str) -> dict:
@@ -315,7 +309,7 @@ def _cmd_trace(args, cfg, basis, seq, params, out):
         seq, _param(params, "schedule", _each(_fraction_pair), required=True),
         trim_points=_param(params, "trim_points", _trim_points, 4),
         max_sample_points=_param(params, "max_sample_points", int, 24),
-        **_witness_caps(params))
+        m_cap=_param(params, "m_cap", int, 64))
     rows = [("entry", "n", "point_id", "value", "running_max", "running_min")]
     for j, tr in enumerate(traces):
         for row in list(tr.csv_rows())[1:]:
@@ -329,7 +323,10 @@ def _cmd_check_conditions(args, cfg, basis, seq, params, out):
     if cheb:
         cheb_idx = _param(params, "chebyshev.measure_index",
                           functools.partial(_measure_index, seq), 0)
-        G = IntervalSet.single(basis, *_interval(basis, params, "chebyshev."))
+        lo, hi = _interval(basis, params, "chebyshev.")
+        if (hi - lo - 1).sign() >= 0:  # chebyshev_check maps G onto the circle
+            raise ConfigError("params.chebyshev.interval_hi must lie below interval_lo + 1")
+        G = IntervalSet.single(basis, lo, hi)
         cheb_eps = _param(params, "chebyshev.epsilon", parse_fraction, required=True)
     deltas = _param(params, "deltas", _each(parse_fraction), ["1/10", "1/100"])
     tail = _param(params, "tail_ratio", parse_fraction, "999/1000")
@@ -426,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sweepout",
         description="exact construction and verification of sweep-out "
                     "witness sets for convolutions of discrete measures")
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=tuple(_HANDLERS))
     ap.add_argument("--config", required=True, help="experiment config (JSON)")
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=0, help="seed for sampled checks")

@@ -371,9 +371,22 @@ def _reversed_G(blob):
     return "bad witness file: pair for measure 0: G is not strictly ascending"
 
 
+def _zero_E_and_G(blob):
+    # E u G = {0} has no gap for the separation chain to read
+    blob["factors"][0]["E"] = blob["factors"][0]["G"] = ["0"]
+    return "bad witness file: pair for measure 0: E and G are both {0}"
+
+
+def _zero_counts(blob):
+    # sampled verification draws the E factor with these weights
+    blob["count_F"] = [0] * len(blob["count_F"])
+    return "holds a count below 1"
+
+
 @pytest.mark.parametrize("tamper", [_drop_last_index, _shift_first_index,
                                     _empty_E, _empty_G, _m_too_large,
-                                    _index_out_of_range, _reversed_G])
+                                    _index_out_of_range, _reversed_G,
+                                    _zero_E_and_G, _zero_counts])
 def test_malformed_witness_exit_3(config, capsys, tamper):
     assert run(config, "build-witness") == 0
     blob = json.loads((config / "out" / "witness.json").read_text())
@@ -678,6 +691,8 @@ def test_library_value_and_key_errors_exit_4(config, capsys, monkeypatch, exc):
      "chebyshev.interval_lo"),
     ("check-conditions", {"chebyshev": {**_CHEBYSHEV, "epsilon": "x"}},
      "chebyshev.epsilon"),
+    ("check-conditions", {"chebyshev": {**_CHEBYSHEV, "interval_lo": "0",
+                                        "interval_hi": "1"}}, "chebyshev.interval_hi"),
     ("check-conditions", {"deltas": "1/10"}, "deltas"),
     ("check-conditions", {"tail_ratio": "x"}, "tail_ratio"),
     ("check-conditions", {"mass_tol": "x"}, "mass_tol"),
@@ -697,6 +712,15 @@ def test_param_of_wrong_type_or_syntax_exit_3(tmp_path, capsys, command, params,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert f"params.{key}" in err
+
+
+@pytest.mark.parametrize("cap, code", [({"m_max": 1}, 1), ({"enumeration_cap": 10}, 2)])
+def test_sup_ratio_builds_honour_witness_caps(tmp_path, cap, code):
+    # check-conditions builds its sup-ratio witnesses under the same caps
+    # as build-witness: a level cap fails the build, a tuple cap stops it
+    write_config(tmp_path, params={"sup_ratio_targets": ["1/12"], **cap})
+    assert run(tmp_path, "build-witness") == code
+    assert run(tmp_path, "check-conditions") == code
 
 
 def test_unknown_verify_mode_exit_3(config, capsys):
