@@ -107,10 +107,18 @@ def _fraction_pair(raw) -> tuple[Fraction, Fraction]:
     return parse_fraction(a), parse_fraction(b)
 
 
+def _int(raw) -> int:
+    """An integer parameter: a JSON integer or integer text. A JSON float
+    or bool is refused, where int() would truncate it or read it as 0/1."""
+    if type(raw) is float or type(raw) is bool:
+        raise TypeError(f"not an integer but {type(raw).__name__}")
+    return int(raw)
+
+
 def _measure_index(seq: MeasureSequence, raw) -> int:
     """A measure_index parameter, checked against the config's measures (a
     negative index would silently count from the end)."""
-    idx = int(raw)
+    idx = _int(raw)
     if not 0 <= idx < len(seq):
         raise ConfigError(f"measure_index must lie in [0, {len(seq)}), got {idx}")
     return idx
@@ -118,7 +126,7 @@ def _measure_index(seq: MeasureSequence, raw) -> int:
 
 def _trim_points(raw) -> int:
     """A trim_points parameter: a factor is trimmed to at least one point."""
-    n = int(raw)
+    n = _int(raw)
     if n < 1:
         raise ConfigError(f"trim_points must be a positive integer, got {n}")
     return n
@@ -138,9 +146,9 @@ def _interval(basis: GeneratorBasis, params: dict, prefix: str = "") -> tuple[Po
 
 def _witness_caps(params: dict) -> dict:
     """params.m_cap, m_max and enumeration_cap as build_witness keywords."""
-    return {"m_cap": _param(params, "m_cap", int, 64),
-            "m_max": _param(params, "m_max", int, 64),
-            "tuple_cap": _param(params, "enumeration_cap", int, 10**7)}
+    return {"m_cap": _param(params, "m_cap", _int, 64),
+            "m_max": _param(params, "m_max", _int, 64),
+            "tuple_cap": _param(params, "enumeration_cap", _int, 10**7)}
 
 
 _encode_str = json.encoder.encode_basestring_ascii  # the C encoder where built
@@ -221,9 +229,9 @@ def _cmd_decompose(args, cfg, basis, seq, params, out):
 def _cmd_lattice_count(args, cfg, basis, seq, params, out):
     idx = _param(params, "measure_index", functools.partial(_measure_index, seq), 0)
     lo, hi = _interval(basis, params)
-    ms = (_param(params, "m_values", _each(int))
-          or [_param(params, "m", int, required=True)])
-    cap = _param(params, "enumeration_cap", int, 10**7)
+    ms = (_param(params, "m_values", _each(_int))
+          or [_param(params, "m", _int, required=True)])
+    cap = _param(params, "enumeration_cap", _int, 10**7)
     spec = decompose(seq[idx].support())
     rows = [interval_count_ratio(spec, m, (lo, hi), cap=cap) for m in ms]
     _write_csv(out / "lattice_count.csv",
@@ -238,7 +246,7 @@ def _cmd_find_lambda(args, cfg, basis, seq, params, out):
     mu = seq[idx]
     eps = _param(params, "epsilon", parse_fraction, required=True)
     delta = _param(params, "delta", parse_fraction, required=True)
-    floor_scale = _param(params, "floor_scale", int, 10**4)
+    floor_scale = _param(params, "floor_scale", _int, 10**4)
     res = find_lambda(mu, eps, delta, floor_scale=floor_scale)
     profile = lambda_profile(mu, eps, delta, floor_scale=floor_scale)
     if args.format == "csv" or _param(params, "emit_profile", bool, True):
@@ -251,8 +259,8 @@ def _cmd_build_eg(args, cfg, basis, seq, params, out):
     idx = _param(params, "measure_index", functools.partial(_measure_index, seq), 0)
     mu = seq[idx]
     eps = _param(params, "epsilon", parse_fraction, required=True)
-    pair = build_eg(mu, eps, m_max=_param(params, "m_max", int, 64), mu_index=idx,
-                    tuple_cap=_param(params, "enumeration_cap", int, 10**7))
+    pair = build_eg(mu, eps, m_max=_param(params, "m_max", _int, 64), mu_index=idx,
+                    tuple_cap=_param(params, "enumeration_cap", _int, 10**7))
     cert = pair.certify(mu)
     _write_json(out / "eg_pair.json", pair.to_json())
     if not cert["ok"]:
@@ -263,7 +271,7 @@ def _cmd_build_eg(args, cfg, basis, seq, params, out):
 
 def _cmd_build_witness(args, cfg, basis, seq, params, out):
     # 0, the default: no trimming
-    trim_to = _param(params, "trim_points", lambda raw: int(raw) and _trim_points(raw), 0)
+    trim_to = _param(params, "trim_points", lambda raw: _int(raw) and _trim_points(raw), 0)
     w = build_witness(seq, _param(params, "Delta", parse_fraction, required=True),
                       _param(params, "delta", parse_fraction, required=True),
                       **_witness_caps(params))
@@ -295,8 +303,8 @@ def _cmd_verify(args, cfg, basis, seq, params, out):
                               f"{len(seq)} measures of the config")
     report = verify_witness(
         w, seq, mode=_param(params, "mode", str, "factor-exact"),
-        explicit_cap=args.explicit_cap or _param(params, "explicit_cap", int, 10**6),
-        samples=_param(params, "samples", int, 100), seed=args.seed)
+        explicit_cap=args.explicit_cap or _param(params, "explicit_cap", _int, 10**6),
+        samples=_param(params, "samples", _int, 100), seed=args.seed)
     _write_json(out / "verification.json", report.to_json())
     if not report.passed:
         raise VerificationFailed(
@@ -308,8 +316,8 @@ def _cmd_trace(args, cfg, basis, seq, params, out):
     traces = oscillation_trace(
         seq, _param(params, "schedule", _each(_fraction_pair), required=True),
         trim_points=_param(params, "trim_points", _trim_points, 4),
-        max_sample_points=_param(params, "max_sample_points", int, 24),
-        m_cap=_param(params, "m_cap", int, 64))
+        max_sample_points=_param(params, "max_sample_points", _int, 24),
+        m_cap=_param(params, "m_cap", _int, 64))
     rows = [("entry", "n", "point_id", "value", "running_max", "running_min")]
     for j, tr in enumerate(traces):
         for row in list(tr.csv_rows())[1:]:

@@ -697,6 +697,17 @@ def test_library_value_and_key_errors_exit_4(config, capsys, monkeypatch, exc):
     ("check-conditions", {"tail_ratio": "x"}, "tail_ratio"),
     ("check-conditions", {"mass_tol": "x"}, "mass_tol"),
     ("check-conditions", {"sup_ratio_targets": 5}, "sup_ratio_targets"),
+    # an integer parameter refuses a JSON float or bool, which int() would
+    # truncate or read as 0/1
+    ("decompose", {"measure_index": 1.9}, "measure_index"),
+    ("build-witness", {"m_cap": 64.5}, "m_cap"),
+    ("build-witness", {"trim_points": True}, "trim_points"),
+    ("lattice-count", {"m_values": [40.0]}, "m_values"),
+    ("find-lambda", {"floor_scale": 1e4}, "floor_scale"),
+    ("verify", {"samples": 10.0}, "samples"),
+    ("trace", {"trim_points": 2.5}, "trim_points"),
+    ("check-conditions", {"chebyshev": {**_CHEBYSHEV, "measure_index": False}},
+     "chebyshev.measure_index"),
 ])
 def test_param_of_wrong_type_or_syntax_exit_3(tmp_path, capsys, command, params, key):
     # every parameter the CLI reads: a value of the wrong type or syntax
