@@ -27,9 +27,10 @@ the thickening radius and the product counts.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,8 +38,8 @@ from .errors import (CapExceeded, ConfigError, GrowthExhausted,
                      SequenceExhausted, VerificationFailed)
 from .exactreal import (GeneratorBasis, IntervalSet, Point, PointSet,
                         bisect_points, compare, decimal_enclosure_str,
-                        fraction_str, max_abs, min_gap, parse_fraction,
-                        sort_points, torus_lifts)
+                        fraction_str, locate, max_abs, min_gap, parse_fraction,
+                        sort_points, torus_locate)
 from .lambda_search import WindowConstraints, active_atoms, find_lambda
 from .lattice import DEFAULT_TUPLE_CAP, decompose, lattice_hits
 from .measures import (DiscreteMeasure, MeasureSequence, convolve_indicator,
@@ -178,9 +179,9 @@ def build_eg(mu: DiscreteMeasure, eps: Fraction, m_max: int = DEFAULT_M_MAX,
         pair = _degenerate_pair(mu, eps, res, mu_index)
         if pair is not None:
             return pair
+    best = "" if best_ratio is None else f"best ratio {best_ratio}, "
     raise GrowthExhausted(
-        f"no level m <= {m_max} reached #E > eps #G / 4 "
-        f"(best ratio {best_ratio}, target {eps}/4)",
+        f"no level m <= {m_max} reached #E > eps #G / 4 ({best}target {eps / 4})",
         best_ratio=best_ratio)
 
 
@@ -410,27 +411,51 @@ class SweepOutWitness:
         Factor slots draw from G, except slot use_E_at (if given) which
         draws from E. Greedy per-factor nearest-neighbor selection; both
         bisect neighbors are explored, which is complete inside the
-        certified separation radius."""
-        factor_lists = []
-        for i, f in enumerate(self.factors):
-            factor_lists.append(f.E if i == use_E_at else f.G)  # sorted
+        certified separation radius. The residual, v less the points
+        chosen so far, is carried as (midpoint, radius) doubles: locate
+        places it in each factor, and the margin rule of compare decides
+        the final |residual| < eps_prime. The exact residual is built only
+        when one of them is undecided; otherwise the one Point built is
+        the sum returned."""
+        lists = [(f.E, apx_e) if i == use_E_at else (f.G, apx_g)  # sorted
+                 for i, (f, (apx_e, apx_g))
+                 in enumerate(zip(self.factors, self._factor_apx))]
+        em, er = self.eps_prime.approx()
 
-        def rec(i: int, residual: Point):
-            """Final residual after subtracting one point per remaining
-            factor, if it can be brought inside eps_prime; else None."""
-            if i == len(factor_lists):
-                return residual if compare(abs(residual), self.eps_prime) < 0 else None
-            pts = factor_lists[i]
-            j = bisect_points(pts, residual)
-            cands = [c for c in (j - 1, j) if 0 <= c < len(pts)]
-            for cand in cands:
-                r = rec(i + 1, residual - pts[cand])
-                if r is not None:
-                    return r
+        def rec(i: int, m: float, r: float, chosen: tuple):
+            """The points chosen for all factors, extending chosen, whose
+            final residual lies inside eps_prime; else None. (m, r)
+            encloses the residual v - sum(chosen) as approx() does."""
+            if i == len(lists):
+                d = em - abs(m)  # (|m|, r) encloses |residual| too
+                if abs(d) > 4.0 * (er + r) + 1e-300:
+                    inside = d > 0
+                else:
+                    res = reduce(operator.sub, chosen, v)
+                    inside = compare(abs(res), self.eps_prime) < 0
+                return chosen if inside else None
+            pts, apx = lists[i]
+            j = locate(apx, m, r)
+            if j is None:
+                j = bisect_points(pts, reduce(operator.sub, chosen, v))
+            for c in (j - 1, j):
+                if 0 <= c < len(pts):
+                    pm, pr = apx[c]
+                    d = m - pm  # the radius as Point subtraction grows it
+                    got = rec(i + 1, d, (r + pr) * 1.01 + abs(d) * 2.3e-16 + 1e-300,
+                              chosen + (pts[c],))
+                    if got is not None:
+                        return got
             return None
 
-        res = rec(0, v)
-        return None if res is None else v - res
+        chosen = rec(0, *v.approx(), ())
+        return None if chosen is None else reduce(operator.add, chosen)
+
+    @cached_property
+    def _factor_apx(self) -> list[tuple[list, list]]:
+        """The approx() of each factor's E and G, for decode_near."""
+        return [([p.approx() for p in f.E], [p.approx() for p in f.G])
+                for f in self.factors]
 
     @cached_property
     def _hull_A(self) -> tuple[Point, Point]:
@@ -442,9 +467,12 @@ class SweepOutWitness:
 
     def contains_torus(self, x: Point) -> bool:
         """Membership of x mod 1 in the thickened sumset A, factored; no
-        lift outside the hull of A is within eps_prime of the sumset."""
-        return any(self.decode_near(v) is not None
-                   for v in torus_lifts(x, *self._hull_A))
+        lift outside the hull of A is within eps_prime of the sumset, so
+        only the lifts that the doubles do not place outside it are
+        decoded."""
+        hull = self._hull_A
+        return any(j != 0 and j != 2 and self.decode_near(x + k) is not None
+                   for k, j in torus_locate(x, hull, [p.approx() for p in hull]))
 
     def to_json(self):
         return {

@@ -38,9 +38,14 @@ IntervalSet is the companion set type: a canonical finite union of open
 intervals with Point endpoints, supporting exact measure, translation,
 scaling and intersection.
 
-Membership mod 1 has one rule: torus_lifts yields the integer lifts of a
-point that fall in a set's closed hull, and every contains_torus (PointSet,
-IntervalSet, the builder's factored witness) tests those lifts alone.
+Membership mod 1 has one rule, and it is filtered the same way:
+torus_locate takes a point and a set's sorted edges and, for each integer
+lift near the set's hull, either returns the lift's position among the
+edges, decided on doubles by the margin rule of compare, or flags the lift
+as within that margin of an edge. Every contains_torus (PointSet,
+IntervalSet, the builder's factored witness) reads membership from the
+positions and builds the exact lift only for a flagged one; the builder's
+decoding carries its residuals the same way, through locate.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, compress, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigError, PrecisionExhausted
 
@@ -662,13 +667,53 @@ def _floor_by_enclosure(x: Point) -> int:
                     "integer within the declared generator precision)", x)
 
 
-def torus_lifts(x: Point, lo: Point, hi: Point) -> Iterator[Point]:
-    """The Points x + k, k an integer, that lie in the closed interval
-    [lo, hi], in ascending order: the integer lifts of x mod 1 that a set
-    with hull [lo, hi] can contain. The one rule behind every membership
-    test mod 1."""
-    for k in range(-floor_point(x - lo), floor_point(hi - x) + 1):
-        yield x + k
+def locate(apx: Sequence[tuple[float, float]], m: float, r: float) -> int | None:
+    """Certified position of a value among sorted Points, from doubles only.
+
+    apx lists the approx() of Points sorted ascending (exactly), and
+    (m, r) encloses the value as approx() does. The result is the j with
+    the Points before j below the value and those from j on above it,
+    when both neighbours of j are separated from the value by the margin
+    rule of compare; the exact order of the Points certifies the rest.
+    None when a neighbour lies within the margin: the value may equal
+    it, and only an exact test decides.
+    """
+    j = bisect_left(apx, (m, -math.inf))  # the midpoints below m
+    if j and not m - apx[j - 1][0] > 4.0 * (r + apx[j - 1][1]) + 1e-300:
+        return None
+    if j < len(apx) and not apx[j][0] - m > 4.0 * (r + apx[j][1]) + 1e-300:
+        return None
+    return j
+
+
+def torus_locate(x: Point, edges: Sequence[Point], apx: Sequence[tuple[float, float]]
+                 ) -> list[tuple[int, int | None]]:
+    """The integer lifts of x mod 1 against the sorted Points edges, whose
+    approx() are apx: the one rule behind every membership test mod 1.
+
+    Returns (k, j) for ascending integers k, among them every k with x + k
+    in the closed hull [edges[0], edges[-1]]. j is locate of the lift
+    x + k, with the radius that the Point x + k would carry: its certified
+    position among the edges, or None when it lies within the margin of
+    an edge, and then the caller decides on the Point x + k exactly. No
+    Point is built here, unless x or the hull lies beyond the doubles'
+    integer range or is enclosed too loosely to count lifts; then every
+    lift in the hull is returned with None.
+    """
+    xm, xr = x.approx()
+    (lo, lr), (hi, hr) = apx[0], apx[-1]
+    if not (max(abs(xm), abs(lo), abs(hi)) < 2.0**52 and 4.0 * (xr + lr + hr) < 0.125):
+        return [(k, None) for k in range(-floor_point(x - edges[0]),
+                                         floor_point(edges[-1] - x) + 1)]
+    # lo - xm and hi - xm round by at most 1/2 here, so they lie within
+    # 5/8 of e - x for the ends e: the lifts in the hull have k from
+    # floor(lo - xm) to floor(hi - xm) + 1
+    out = []
+    for k in range(math.floor(lo - xm), math.floor(hi - xm) + 2):
+        m = xm + k
+        out.append((k, locate(apx, m, (xr + abs(k) * 2.3e-16 + 1e-300) * 1.01
+                              + abs(m) * 2.3e-16 + 1e-300)))
+    return out
 
 
 def decimal_enclosure_str(x, digits: int = 24) -> dict:
@@ -692,7 +737,7 @@ def decimal_enclosure_str(x, digits: int = 24) -> dict:
 class PointSet:
     """Finite set of Points with exact membership, including mod-1 lookup."""
 
-    __slots__ = ("basis", "points", "_keys")
+    __slots__ = ("basis", "points", "_keys", "_apx")
 
     def __init__(self, points: Iterable[Point]):
         pts = {}
@@ -706,6 +751,7 @@ class PointSet:
         self.basis = basis
         self.points = tuple(sort_points(pts.values()))
         self._keys = frozenset(pts)
+        self._apx = [p.approx() for p in self.points]
 
     def __len__(self):
         return len(self.points)
@@ -717,10 +763,12 @@ class PointSet:
         return p.key in self._keys
 
     def contains_torus(self, v: Point) -> bool:
-        """Membership of v mod 1: any integer lift of v in the set."""
+        """Membership of v mod 1: any integer lift of v in the set. A lift
+        that the doubles place between two points is not one of them; only
+        a lift within the margin of a point is looked up exactly."""
         pts = self.points
-        return bool(pts) and any(w.key in self._keys
-                                 for w in torus_lifts(v, pts[0], pts[-1]))
+        return bool(pts) and any(j is None and (v + k).key in self._keys
+                                 for k, j in torus_locate(v, pts, self._apx))
 
 
 class IntervalSet:
@@ -730,12 +778,13 @@ class IntervalSet:
     membership is always false (open intervals throughout).
     """
 
-    __slots__ = ("basis", "intervals", "_los")
+    __slots__ = ("basis", "intervals", "_los", "_edges", "_apx")
 
     def __init__(self, basis: GeneratorBasis, intervals: tuple[tuple[Point, Point], ...]):
         self.basis = basis
         self.intervals = intervals
         self._los = [lo for lo, _ in intervals]
+        self._edges = self._apx = None  # built by the first contains_torus
 
     @classmethod
     def canonicalize(cls, basis: GeneratorBasis, raw) -> "IntervalSet":
@@ -791,10 +840,15 @@ class IntervalSet:
         return hash(tuple((a.key, b.key) for a, b in self.intervals))
 
     def measure(self) -> Point:
-        total = self.basis.zero()
-        for lo, hi in self.intervals:
-            total = total + (hi - lo)
-        return total
+        """The sum of hi - lo, taken on the endpoints' integer vectors over
+        one common denominator."""
+        ivs = self.intervals
+        den = math.lcm(1, *(p.den for iv in ivs for p in iv))
+        nums = [0] * self.basis.dim
+        for lo, hi in ivs:
+            a, b = den // lo.den, den // hi.den
+            nums = [t + h * b - l * a for t, l, h in zip(nums, lo.nums, hi.nums)]
+        return Point(self.basis, tuple(nums), den)
 
     def translate(self, y) -> "IntervalSet":
         y = as_point(self.basis, y)
@@ -833,10 +887,17 @@ class IntervalSet:
 
     def contains_torus(self, x: Point) -> bool:
         """Membership of x mod 1: true when any integer lift of x lies in
-        the set, wherever on the line the set happens to sit."""
-        ivs = self.intervals
-        return bool(ivs) and any(map(self.contains,
-                                     torus_lifts(x, ivs[0][0], ivs[-1][1])))
+        the set, wherever on the line the set happens to sit. A lift that
+        the doubles place between two endpoints is inside exactly when
+        an odd number of endpoints lie below it; only a lift within the
+        margin of an endpoint is tested exactly."""
+        if not self.intervals:
+            return False
+        if self._edges is None:
+            self._edges = self.edge_points()
+            self._apx = [p.approx() for p in self._edges]
+        return any(j % 2 if j is not None else self.contains(x + k)
+                   for k, j in torus_locate(x, self._edges, self._apx))
 
     def contains_set(self, other: "IntervalSet") -> bool:
         """other is a subset of self (both canonical, open)."""

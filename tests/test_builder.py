@@ -48,6 +48,19 @@ def test_build_eg_m_exhausted(mu_pair):
     assert hasattr(exc.value, "best_ratio")
 
 
+def test_growth_exhausted_message(mu_pair):
+    # the target is eps/4 as one fraction; a ratio is named only when some
+    # level was counted
+    with pytest.raises(GrowthExhausted) as exc:
+        build_eg(mu_pair, F(3, 10), m_max=0)
+    assert str(exc.value) == "no level m <= 0 reached #E > eps #G / 4 (target 3/40)"
+    assert exc.value.diagnostics == {"best_ratio": None}
+    with pytest.raises(GrowthExhausted) as exc:
+        build_eg(mu_pair, F(1, 6), m_max=8)
+    assert str(exc.value) == ("no level m <= 8 reached #E > eps #G / 4 "
+                              "(best ratio 1/31, target 1/24)")
+
+
 def test_eg_json_roundtrip(mu_pair, surd_basis):
     pair = build_eg(mu_pair, F(1, 6))
     back = EGPair.from_json(surd_basis, json.loads(json.dumps(pair.to_json())))
@@ -255,6 +268,36 @@ def test_factored_membership_matches_explicit(geom_seq):
         assert not A.contains_torus(g + e) and not A.contains_torus(g - e)
         for x in inside + edges:
             assert w.contains_torus(x) == A.contains_torus(x), x
+
+
+def test_witness_membership_matches_explicit_oracle(geom_seq):
+    # decode_near and the convolution on the factored witness decide on
+    # doubles and go exact only within the margin; the explicit thickened
+    # sumsets decide every point exactly. Offsets of exactly eps' land on
+    # an open end, those of eps' -+ 2^-60 on either side of it, and
+    # eps' is half the minimum gap, so components of A touch there.
+    w = trim_witness(build_witness(geom_seq, F(1, 12), F(1, 2)), geom_seq)
+    e, tie = w.eps_prime, F(1, 2**60)
+    g_pts = w.explicit_G()
+    A = w.thickened(g_pts)
+    F_k = [w.thickened([p for p, k in w.explicit_E() if k == i]) for i in range(w.m)]
+    offsets = [e * F(1, 3), e * F(-996, 997), e, -e, e * 3, e + tie, e - tie,
+               tie - e, -tie - e, e * F(1, 2**60), e * (1 - tie)]
+    probes = [g + off for g in g_pts for off in offsets]
+    probes += [p + off for p, _ in w.explicit_E() for off in offsets]
+    assert any(not A.contains(v) for v in probes) and any(map(A.contains, probes))
+    for v in probes:
+        got = w.decode_near(v)
+        assert (got is not None) == A.contains(v), v
+        if got is not None:
+            assert got.key in {g.key for g in g_pts}
+            assert compare(abs(v - got), e) < 0
+        for i in range(w.m):
+            assert (w.decode_near(v, use_E_at=i) is not None) == F_k[i].contains(v)
+    for mu in (geom_seq[i] for i in range(max(w.indices) + 2)):
+        for v in probes:
+            for x in (v - mu.atoms[0], v - mu.atoms[1] + 3):
+                assert convolve_indicator(mu, w, x) == convolve_indicator(mu, A, x), x
 
 
 def test_oscillation_trace(surd_basis):

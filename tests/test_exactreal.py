@@ -13,8 +13,8 @@ from sweepout.errors import PrecisionExhausted
 from sweepout.exactreal import (Generator, GeneratorBasis, IntervalSet, Point,
                                 PointSet, bisect_points, compare,
                                 decimal_enclosure_str, floor_point, min_gap,
-                                parse_fraction, scaled_approx, sort_points,
-                                torus_lifts)
+                                locate, parse_fraction, scaled_approx,
+                                sort_points, torus_locate)
 from tests.conftest import raises_config_error, raises_plain_value_error
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=64)
@@ -717,25 +717,54 @@ def _four_lifts(s, x):
                for k in range(floor_point(first) - 1, floor_point(last) + 2))
 
 
-def test_torus_lifts_bounds(surd_basis, root2_over8):
+def _exact_lifts(x, lo, hi):
+    """The integers k with x + k in the closed interval [lo, hi], exactly."""
+    return range(-floor_point(x - lo), floor_point(hi - x) + 1)
+
+
+def test_torus_locate_bounds(surd_basis, root2_over8):
     lo, hi = surd_basis.rational(F(-3, 2)), root2_over8 + 1
+    edges = [lo, root2_over8 - 1, root2_over8, hi]
+    apx = [e.approx() for e in edges]
     for x in (root2_over8, root2_over8 - 7, surd_basis.rational(F(1, 2)),
-              surd_basis.rational(5)):
-        lifts = list(torus_lifts(x, lo, hi))
-        assert all(compare(lo, v) <= 0 <= compare(hi, v) for v in lifts)
-        assert all((v - x).is_rational() for v in lifts)
-        assert lifts == sort_points(lifts)
-        # the hull is longer than 1, so every x has a lift, and the
-        # neighbours of the lifts lie outside it
-        assert compare(lifts[0] - 1, lo) < 0 and compare(lifts[-1] + 1, hi) > 0
-    # hull ends are closed: an end that is a lift is yielded
-    assert [v.key for v in torus_lifts(hi - 3, lo, hi)] == [
-        (hi - 2).key, (hi - 1).key, hi.key]
-    assert list(torus_lifts(root2_over8, lo, lo)) == []
+              surd_basis.rational(5), root2_over8 + 2**60,
+              surd_basis.rational(2**60 + 1)):
+        got = torus_locate(x, edges, apx)
+        ks = [k for k, _ in got]
+        assert ks == list(range(ks[0], ks[-1] + 1))
+        assert set(_exact_lifts(x, lo, hi)) <= set(ks)
+        for k, j in got:
+            v = x + k
+            if j is not None:
+                # a certified position: strictly between its neighbours
+                assert j == sum(compare(e, v) < 0 for e in edges)
+                assert all(compare(e, v) != 0 for e in edges)
+    # beyond 2^52 the doubles do not count lifts: every lift in the hull
+    # comes back flagged, and no other
+    far = root2_over8 + 2**60
+    assert torus_locate(far, edges, apx) == [(k, None) for k in _exact_lifts(far, lo, hi)]
+    # hull ends are closed: an end that is a lift is flagged, not skipped
+    got = dict(torus_locate(hi - 3, edges, apx))
+    assert got[3] is None and got[0] == 0
+    assert locate([], 0.5, 1e-300) == 0
+
+
+def test_locate_margin(rat_basis):
+    pts = [rat_basis.rational(q) for q in (F(1, 3), F(1, 2), F(1, 2), F(2, 3))]
+    apx = [p.approx() for p in pts]
+    assert locate(apx, 0.4, 1e-17) == 1
+    assert locate(apx, 0.9, 1e-17) == 4
+    assert locate(apx, 0.5, 1e-17) is None  # on the tied pair
+    # within four radii of a neighbour: undecided
+    m, r = apx[0]
+    assert locate(apx, m + 4 * r, r) is None
+    assert locate(apx, m - 2.0**-60, 1e-300) is None
+    assert locate(apx, m - 1e-9, 1e-300) == 0
 
 
 def test_contains_torus_matches_four_lift_oracle(rat_basis, surd_basis):
     rng = random.Random(11)
+    tie = F(1, 2**60)
 
     def rnd_point(basis):
         q = F(rng.randint(-96, 96), 32)
@@ -743,11 +772,27 @@ def test_contains_torus_matches_four_lift_oracle(rat_basis, surd_basis):
             return basis.rational(q)
         return basis.point([q, F(rng.randint(-8, 8), 16), F(rng.randint(-8, 8), 16)])
 
+    def fresh(e, shift):
+        """e + shift built from coefficients, so that its doubles are
+        rounded apart from those of e and of e + shift."""
+        return e.basis.point([e.coeffs[0] + shift] + list(e.coeffs[1:]))
+
     for basis in (rat_basis, surd_basis):
+        g = rnd_point(basis)
         sets = [IntervalSet.empty(basis), PointSet([]),
                 # straddles the seam at 0, and the seam at 1
                 IntervalSet.single(basis, F(-1, 4), F(1, 4)),
-                IntervalSet.canonicalize(basis, [(F(7, 8), F(9, 8)), (F(-2), F(-7, 4))])]
+                IntervalSet.canonicalize(basis, [(F(7, 8), F(9, 8)), (F(-2), F(-7, 4))]),
+                # integer endpoints, and components that touch, as in the
+                # thickened A when eps' is half the minimum gap
+                IntervalSet.canonicalize(basis, [(-1, 0), (0, F(1, 3)), (F(1, 3), 1)]),
+                IntervalSet.canonicalize(basis, [(g - F(1, 8), g), (g, g + F(1, 8)),
+                                                 (g + F(1, 8), g + F(3, 8))]),
+                PointSet([basis.rational(0), g, g + F(1, 4)])]
+        if basis is surd_basis:
+            r2, r3 = basis.point([0, 1, 0]), basis.point([0, 0, 1])
+            sets += [IntervalSet.canonicalize(basis, [(r2 - 1, r3 - 1), (r3 - 1, F(3, 4))]),
+                     PointSet([r2 * F(1, 8), r3 * F(1, 4), r2 - r3])]
         for _ in range(30):
             raw = []
             for _ in range(rng.randint(1, 3)):
@@ -759,11 +804,14 @@ def test_contains_torus_matches_four_lift_oracle(rat_basis, surd_basis):
             sets.append(PointSet([rnd_point(basis) for _ in range(rng.randint(1, 4))]))
         for s in sets:
             elems = (s.edge_points() if isinstance(s, IntervalSet) else list(s.points))
-            probes = [basis.rational(5), basis.rational(-5),
-                      basis.rational(F(1, 3)) + 5, basis.rational(F(-2, 7)) - 5]
+            probes = [basis.rational(k) for k in (-5, -1, 0, 1, 5)]
+            probes += [basis.rational(F(1, 3)) + 5, basis.rational(F(-2, 7)) - 5]
             for e in elems:
                 # open endpoints and hull-end elements, at their lifts too
                 probes += [e, e + 1, e - 1, e + 3, e - 5, e + F(1, 64), e - F(1, 64)]
+                # near-ties at 2^-60, at lifts whose doubles round apart
+                for k in (0, 1, -2, 5):
+                    probes += [fresh(e, k + tie), fresh(e, k - tie), fresh(e, k)]
             probes += [rnd_point(basis) for _ in range(6)]
             for x in probes:
                 assert s.contains_torus(x) == _four_lifts(s, x), (s, x)
