@@ -788,7 +788,10 @@ def test_contains_torus_matches_four_lift_oracle(rat_basis, surd_basis):
                 IntervalSet.canonicalize(basis, [(-1, 0), (0, F(1, 3)), (F(1, 3), 1)]),
                 IntervalSet.canonicalize(basis, [(g - F(1, 8), g), (g, g + F(1, 8)),
                                                  (g + F(1, 8), g + F(3, 8))]),
-                PointSet([basis.rational(0), g, g + F(1, 4)])]
+                PointSet([basis.rational(0), g, g + F(1, 4)]),
+                # beyond 2^52, where the lifts are counted exactly
+                IntervalSet.single(basis, g + 2**53, g + 2**53 + F(4, 3)),
+                PointSet([g + 2**60, g + 2**60 + 1])]
         if basis is surd_basis:
             r2, r3 = basis.point([0, 1, 0]), basis.point([0, 0, 1])
             sets += [IntervalSet.canonicalize(basis, [(r2 - 1, r3 - 1), (r3 - 1, F(3, 4))]),
