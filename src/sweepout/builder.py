@@ -36,10 +36,10 @@ from typing import Sequence
 
 from .errors import (CapExceeded, ConfigError, GrowthExhausted,
                      SequenceExhausted, VerificationFailed)
-from .exactreal import (GeneratorBasis, IntervalSet, Point, PointSet,
+from .exactreal import (GeneratorBasis, IntervalSet, Point, PointSet, apart,
                         bisect_points, compare, decimal_enclosure_str,
                         fraction_str, locate, max_abs, min_gap, parse_fraction,
-                        sort_points, torus_locate)
+                        sort_points, sum_radius, torus_locate)
 from .lambda_search import WindowConstraints, active_atoms, find_lambda
 from .lattice import DEFAULT_TUPLE_CAP, decompose, lattice_hits
 from .measures import (DiscreteMeasure, MeasureSequence, convolve_indicator,
@@ -412,8 +412,8 @@ class SweepOutWitness:
         draws from E. Greedy per-factor nearest-neighbor selection; both
         bisect neighbors are explored, which is complete inside the
         certified separation radius. The residual, v less the points
-        chosen so far, is carried as (midpoint, radius) doubles: locate
-        places it in each factor, and the margin rule of compare decides
+        chosen so far, is carried as the ball its Point would carry
+        (sum_radius): locate places it in each factor, and apart decides
         the final |residual| < eps_prime. The exact residual is built only
         when one of them is undecided; otherwise the one Point built is
         the sum returned."""
@@ -428,7 +428,7 @@ class SweepOutWitness:
             encloses the residual v - sum(chosen) as approx() does."""
             if i == len(lists):
                 d = em - abs(m)  # (|m|, r) encloses |residual| too
-                if abs(d) > 4.0 * (er + r) + 1e-300:
+                if apart(d, er + r):
                     inside = d > 0
                 else:
                     res = reduce(operator.sub, chosen, v)
@@ -441,9 +441,8 @@ class SweepOutWitness:
             for c in (j - 1, j):
                 if 0 <= c < len(pts):
                     pm, pr = apx[c]
-                    d = m - pm  # the radius as Point subtraction grows it
-                    got = rec(i + 1, d, (r + pr) * 1.01 + abs(d) * 2.3e-16 + 1e-300,
-                              chosen + (pts[c],))
+                    d = m - pm
+                    got = rec(i + 1, d, sum_radius(d, r, pr), chosen + (pts[c],))
                     if got is not None:
                         return got
             return None
@@ -458,21 +457,21 @@ class SweepOutWitness:
                 for f in self.factors]
 
     @cached_property
-    def _hull_A(self) -> tuple[Point, Point]:
-        """Closed hull of A: sum_i G_i[0] - eps' to sum_i G_i[-1] + eps'."""
+    def _hull_A(self) -> tuple[tuple[Point, Point], list]:
+        """Closed hull of A, sum_i G_i[0] - eps' to sum_i G_i[-1] + eps',
+        and its ends' approx()."""
         lo, hi = -self.eps_prime, self.eps_prime
         for f in self.factors:
             lo, hi = lo + f.G[0], hi + f.G[-1]
-        return lo, hi
+        return (lo, hi), [lo.approx(), hi.approx()]
 
     def contains_torus(self, x: Point) -> bool:
         """Membership of x mod 1 in the thickened sumset A, factored; no
         lift outside the hull of A is within eps_prime of the sumset, so
         only the lifts that the doubles do not place outside it are
         decoded."""
-        hull = self._hull_A
         return any(j != 0 and j != 2 and self.decode_near(x + k) is not None
-                   for k, j in torus_locate(x, hull, [p.approx() for p in hull]))
+                   for k, j in torus_locate(x, *self._hull_A))
 
     def to_json(self):
         return {
@@ -828,6 +827,8 @@ def verify_witness(w: SweepOutWitness, seq: MeasureSequence,
     """
     if mode not in ("factor-exact", "explicit-brute-force", "sampled"):
         raise ConfigError(f"unknown verify mode: {mode}")
+    if mode == "sampled" and samples < 1:
+        raise ConfigError(f"sampled verification needs samples >= 1, got {samples}")
     checks = _factor_checks(w, seq)
     if mode == "explicit-brute-force":
         checks += _explicit_checks(w, seq, cap=explicit_cap)
@@ -931,6 +932,8 @@ def oscillation_trace(seq: MeasureSequence, schedule: Sequence[tuple[Fraction, F
     """
     if not schedule:
         raise ConfigError("empty schedule")
+    if max_sample_points < 1:
+        raise ConfigError(f"max_sample_points must be at least 1, got {max_sample_points}")
     traces = []
     for Delta, delta in schedule:
         w = trim_witness(build_witness(seq, Delta, delta, m_cap=m_cap), seq,

@@ -69,8 +69,8 @@ def _basis_from_config(cfg: dict, precision_bits: int | None) -> GeneratorBasis:
 def _param(params: dict, name: str, parse, default=None, required=False):
     """params.<name> through parse, or the default, parsed too, when it is
     absent or null; "a.b" names field b of the object params.a. A
-    ConfigError of parse passes through; a ValueError, TypeError or
-    KeyError becomes a ConfigError naming params.<name> and the raw value."""
+    ValueError (ConfigError among them), TypeError or KeyError of parse
+    becomes a ConfigError naming params.<name> and the raw value."""
     *outer, key = name.split(".")
     for part in outer:
         params = params[part]
@@ -81,8 +81,6 @@ def _param(params: dict, name: str, parse, default=None, required=False):
         raw = default
     try:
         return None if raw is None else parse(raw)
-    except ConfigError:
-        raise
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"params.{name} = {raw!r}: {exc}") from None
 
@@ -120,7 +118,7 @@ def _measure_index(seq: MeasureSequence, raw) -> int:
     negative index would silently count from the end)."""
     idx = _int(raw)
     if not 0 <= idx < len(seq):
-        raise ConfigError(f"measure_index must lie in [0, {len(seq)}), got {idx}")
+        raise ConfigError(f"must lie in [0, {len(seq)})")
     return idx
 
 
@@ -128,7 +126,7 @@ def _trim_points(raw) -> int:
     """A trim_points parameter: a factor is trimmed to at least one point."""
     n = _int(raw)
     if n < 1:
-        raise ConfigError(f"trim_points must be a positive integer, got {n}")
+        raise ConfigError("must be a positive integer")
     return n
 
 

@@ -13,26 +13,30 @@ the rational independence of the generators, which is certified
 automatically for surd bases and asserted by the user otherwise.
 
 Every certified decision in the package is made here, filter then exact,
-by one margin rule and one loop. The filter works on (midpoint, radius)
-doubles with a rigorous radius (Point.approx): a value (m, r) lies in
-[m - 4r, m + 4r], and two values are separated when those intervals are
-more than 1e-300 apart. compare, Point.sign, floor_point, bisect_points
-and certified_clusters decide by that rule alone, and cut_limit gives the
-bound by which the lambda sweep passes its clusters. What the filter leaves
-open goes to escalate, the one precision-escalation loop: it tries a
-decision on exact enclosures at a start precision, doubles the precision
-up to the basis's precision_cap, and raises PrecisionExhausted there
-rather than guessing (possible only when a declared independence assertion
-is false, or a decimal generator is too coarse). Point.sign,
-floor_point, the lambda search's integral test and separating rational,
-and the lattice density constant all escalate through it.
+by one margin rule and one loop. The filter works on the midpoint-radius
+balls of Arb, doubles with a rigorous radius (Point.approx): a value
+(m, r) lies in [m - 4r, m + 4r], and two values are separated when those
+intervals are more than 1e-300 apart. That margin test (apart) and the
+radius of a sum or difference (sum_radius) are each written once:
+compare, Point.sign, floor_point and locate call apart, bisect_points
+calls compare, Point arithmetic, torus_locate and the builder's decoding
+grow their balls by sum_radius, and the cut of certified_clusters and
+cut_limit (the lambda sweep's pass bound) reads the margin's constants.
+What the filter leaves open goes to escalate, the one precision-escalation
+loop: it tries a decision on exact enclosures at a start precision,
+doubles the precision up to the basis's precision_cap, and raises
+PrecisionExhausted there rather than guessing (possible only when a
+declared independence assertion is false, or a decimal generator is too
+coarse). Point.sign, floor_point, the lambda search's integral test and
+separating rational, and the lattice density constant all escalate
+through it.
 
 Lists of Points are ordered and searched by the same rule: sort_points
 orders by the cached float enclosures and sorts exactly only inside
 clusters whose enclosures cannot be separated (the cut of
-certified_clusters, which the lambda sweep uses too), and
-bisect_points decides each probe by the float test and calls compare only
-when it overlaps. Never sort or bisect Points through __lt__.
+certified_clusters, which the lambda sweep uses too), and bisect_points
+decides each probe by compare. Never sort or bisect Points through
+__lt__.
 
 IntervalSet is the companion set type: a canonical finite union of open
 intervals with Point endpoints, supporting exact measure, translation,
@@ -41,10 +45,10 @@ scaling and intersection.
 Membership mod 1 has one rule, and it is filtered the same way:
 torus_locate takes a point and a set's sorted edges and, for each integer
 lift near the set's hull, either returns the lift's position among the
-edges, decided on doubles by the margin rule of compare, or flags the lift
-as within that margin of an edge. Every contains_torus (PointSet,
-IntervalSet, the builder's factored witness) reads membership from the
-positions and builds the exact lift only for a flagged one; the builder's
+edges, decided on doubles by apart, or flags the lift as within that
+margin of an edge. Every contains_torus (PointSet, IntervalSet, the
+builder's factored witness) reads membership from the positions and
+builds the exact lift only for a flagged one; the builder's
 decoding carries its residuals the same way, through locate.
 """
 
@@ -53,7 +57,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, compress, islice, repeat
@@ -62,6 +66,10 @@ from typing import Iterable, Sequence
 from .errors import ConfigError, PrecisionExhausted
 
 DEFAULT_PRECISION_CAP = 1024
+
+# the margin of apart: a ball (m, r) stands for [m - 4r, m + 4r]; gap 1e-300
+_MARGIN_WIDTH = 4.0
+_MARGIN_GAP = 1e-300
 
 _SQUAREFREE_PRIME_BOUND = 10**6
 
@@ -255,13 +263,11 @@ class GeneratorBasis:
             c0 = Fraction(n, d) / self._unit
             n, d = c0.numerator, c0.denominator
         out = Point(self, (n,) + self._zeros, d)
-        out._approx = (m, abs(m) * 2.3e-16 + 1e-300)
+        out._approx = (m, sum_radius(m, 0.0, 0.0))
         return out
 
     def zero(self) -> "Point":
-        out = Point(self, (0,) * self.dim)
-        out._approx = (0.0, 1e-300)
-        return out
+        return self.rational(0)
 
     def __eq__(self, other):
         return isinstance(other, GeneratorBasis) and self._key == other._key
@@ -274,6 +280,20 @@ class GeneratorBasis:
 
 
 _APPROX_BITS = 96
+
+
+def apart(d: float, r: float) -> bool:
+    """The filter's margin test: True when two balls whose midpoints differ
+    by d and whose radii sum to r certainly hold distinct values, ordered
+    as the sign of d; otherwise only an exact test decides."""
+    return abs(d) > _MARGIN_WIDTH * r + _MARGIN_GAP
+
+
+def sum_radius(m: float, ar: float, br: float) -> float:
+    """Radius of the ball, midpoint m, of a sum or difference of balls with
+    radii ar and br: both radii, the rounding of m and underflow. With
+    ar = br = 0 it is GeneratorBasis.rational's radius of an exact m."""
+    return (ar + br) * 1.01 + abs(m) * 2.3e-16 + 1e-300
 
 
 def scaled_approx(approx: tuple[float, float], a: int, b: int) -> tuple[float, float]:
@@ -343,7 +363,7 @@ class Point:
             am, ar = self._approx
             bm, br = o._approx
             m = op(am, bm)
-            out._approx = (m, (ar + br) * 1.01 + abs(m) * 2.3e-16 + 1e-300)
+            out._approx = (m, sum_radius(m, ar, br))
         return out
 
     def __add__(self, other):
@@ -468,7 +488,7 @@ class Point:
         if self.is_rational():
             return 1 if self.nums[0] > 0 else -1
         m, r = self.approx()
-        if abs(m) > 4.0 * r + 1e-300:
+        if apart(m, r):
             return 1 if m > 0 else -1
 
         def decide(bits):
@@ -531,7 +551,7 @@ def compare(a: Point, b: Point) -> int:
             return 0
         ga, gb = a.approx(), b.approx()
     d = ga[0] - gb[0]
-    if abs(d) > 4.0 * (ga[1] + gb[1]) + 1e-300:
+    if apart(d, ga[1] + gb[1]):
         return 1 if d > 0 else -1
     if a.den == b.den and a.nums == b.nums:
         return 0
@@ -544,9 +564,9 @@ def certified_clusters(apx: Sequence[tuple[float, float]], limit: float = math.i
     done).
 
     Each pair (m, r) gives the interval [m - 4r, m + 4r], widened by the
-    margin of compare. order lists the indices by lower end (one float
+    margin of apart. order lists the indices by lower end (one float
     sort). A cluster ends wherever the next lower end exceeds every upper
-    end before it by more than 1e-300, as in compare, so every value of a
+    end before it by more than 1e-300, as in apart, so every value of a
     cluster lies below every value of the clusters after it. runs lists
     the clusters of two or more, the only ones that need an exact
     comparison, as position ranges [start, stop) of order; every other
@@ -556,14 +576,14 @@ def certified_clusters(apx: Sequence[tuple[float, float]], limit: float = math.i
     C-level passes: only the positions inside runs meet a Python loop.
     """
     n = len(apx)
-    los = [m - 4.0 * r for m, r in apx]
+    los = [m - _MARGIN_WIDTH * r for m, r in apx]
     order = sorted(range(n), key=los.__getitem__)
-    his = [m + 4.0 * r for m, r in apx]
+    his = [m + _MARGIN_WIDTH * r for m, r in apx]
     high = list(accumulate(map(his.__getitem__, order), max))
     # position k starts a cluster when its lower end lies more than 1e-300
     # above high[k - 1]; otherwise it joins the cluster of k - 1
     cut = map(operator.gt, map(los.__getitem__, islice(order, 1, None)),
-              map(operator.add, high, repeat(1e-300)))
+              map(operator.add, high, repeat(_MARGIN_GAP)))
     runs = []
     for k in compress(range(1, n), map(operator.not_, cut)):
         if runs and runs[-1][1] == k:
@@ -580,7 +600,7 @@ def cut_limit(apx: Sequence[tuple[float, float]]) -> float:
     """The limit for certified_clusters that passes exactly the clusters
     lying below every (midpoint, radius) pair of apx: their lowest lower
     end m - 4r, less the margin 1e-300 (inf when apx is empty)."""
-    return min([m - 4.0 * r for m, r in apx], default=math.inf) - 1e-300
+    return min([m - _MARGIN_WIDTH * r for m, r in apx], default=math.inf) - _MARGIN_GAP
 
 
 def sort_points(items, key=None) -> list:
@@ -613,44 +633,22 @@ def bisect_points(pts: Sequence[Point], x: Point, right: bool = False) -> int:
     """Index at which bisect_left (bisect_right when right) of the bisect
     module would insert x into the sorted Points pts.
 
-    Each probe is decided by the float filter of compare, which is called
-    only when the two enclosures overlap.
+    Each probe is decided by compare, on the float filter unless the two
+    enclosures overlap: the key compare(p, x) places x at 0.
     """
-    if not pts:
-        return 0
-    xm, xr = x.approx()
-    basis = x.basis
-    lo, hi = 0, len(pts)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        p = pts[mid]
-        if p.basis is not basis and p.basis != basis:
-            raise ValueError("points over different bases")
-        pm, pr = p.approx()
-        d = pm - xm
-        if abs(d) > 4.0 * (pr + xr) + 1e-300:
-            c = 1 if d > 0 else -1
-        else:
-            c = compare(p, x)
-        # bisect_left moves right past p < x, bisect_right past p <= x
-        if c < 0 or (right and c == 0):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return (bisect_right if right else bisect_left)(pts, 0, key=lambda p: compare(p, x))
 
 
 def floor_point(x: Point) -> int:
     """Exact floor of a Point value."""
     if x.is_rational():
         return math.floor(x.rational_value())
-    # float filter with the margin of sign() and compare(); below 2^52
-    # both differences are exact in doubles
+    # the float filter of apart; below 2^52 both differences are exact in
+    # doubles
     m, r = x.approx()
     if abs(m) < 2.0**52:
         k = math.floor(m)
-        margin = 4.0 * r + 1e-300
-        if m - k > margin and k + 1 - m > margin:
+        if apart(m - k, r) and apart(k + 1 - m, r):
             return k
     return _floor_by_enclosure(x)
 
@@ -673,15 +671,15 @@ def locate(apx: Sequence[tuple[float, float]], m: float, r: float) -> int | None
     apx lists the approx() of Points sorted ascending (exactly), and
     (m, r) encloses the value as approx() does. The result is the j with
     the Points before j below the value and those from j on above it,
-    when both neighbours of j are separated from the value by the margin
-    rule of compare; the exact order of the Points certifies the rest.
-    None when a neighbour lies within the margin: the value may equal
-    it, and only an exact test decides.
+    when apart separates both neighbours of j from the value; the exact
+    order of the Points certifies the rest. None when a neighbour lies
+    within the margin: the value may equal it, and only an exact test
+    decides.
     """
     j = bisect_left(apx, (m, -math.inf))  # the midpoints below m
-    if j and not m - apx[j - 1][0] > 4.0 * (r + apx[j - 1][1]) + 1e-300:
+    if j and not apart(m - apx[j - 1][0], r + apx[j - 1][1]):
         return None
-    if j < len(apx) and not apx[j][0] - m > 4.0 * (r + apx[j][1]) + 1e-300:
+    if j < len(apx) and not apart(apx[j][0] - m, r + apx[j][1]):
         return None
     return j
 
@@ -693,12 +691,13 @@ def torus_locate(x: Point, edges: Sequence[Point], apx: Sequence[tuple[float, fl
 
     Returns (k, j) for ascending integers k, among them every k with x + k
     in the closed hull [edges[0], edges[-1]]. j is locate of the lift
-    x + k, with the radius that the Point x + k would carry: its certified
-    position among the edges, or None when it lies within the margin of
-    an edge, and then the caller decides on the Point x + k exactly. No
-    Point is built here, unless x or the hull lies beyond the doubles'
-    integer range or is enclosed too loosely to count lifts; then every
-    lift in the hull is returned with None.
+    x + k, with the ball that the Point x + k would carry (sum_radius of
+    x and the rational k): its certified position among the edges, or
+    None when it lies within the margin of an edge, and then the caller
+    decides on the Point x + k exactly. No Point is built here, unless x
+    or the hull lies beyond the doubles' integer range or is enclosed too
+    loosely to count lifts; then every lift in the hull is returned with
+    None.
     """
     xm, xr = x.approx()
     (lo, lr), (hi, hr) = apx[0], apx[-1]
@@ -711,8 +710,7 @@ def torus_locate(x: Point, edges: Sequence[Point], apx: Sequence[tuple[float, fl
     out = []
     for k in range(math.floor(lo - xm), math.floor(hi - xm) + 2):
         m = xm + k
-        out.append((k, locate(apx, m, (xr + abs(k) * 2.3e-16 + 1e-300) * 1.01
-                              + abs(m) * 2.3e-16 + 1e-300)))
+        out.append((k, locate(apx, m, sum_radius(m, xr, sum_radius(k, 0.0, 0.0)))))
     return out
 
 
@@ -923,7 +921,6 @@ class IntervalSet:
     def __repr__(self):
         parts = ", ".join(f"({float(lo):.6g}, {float(hi):.6g})" for lo, hi in self.intervals)
         return f"IntervalSet[{parts}]"
-
 
 
 def min_gap(points: Iterable[Point]) -> Point:

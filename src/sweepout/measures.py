@@ -192,7 +192,7 @@ def convolve_indicator(mu: DiscreteMeasure, target, x: Point) -> Fraction:
     target is any set with a contains_torus method (an IntervalSet, a
     PointSet, a factored witness), or an iterable of Points, read as a
     PointSet. Every membership decision is certified: contains_torus
-    decides a translate on doubles by the margin rule of compare and
+    decides a translate on doubles by the margin test exactreal.apart and
     tests it exactly only within that margin of an edge (see
     exactreal.torus_locate). The result lies in [0, |mu|].
     """

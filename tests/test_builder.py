@@ -1,6 +1,9 @@
 import json
+import operator
 import random
+import sys
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -300,6 +303,46 @@ def test_witness_membership_matches_explicit_oracle(geom_seq):
                 assert convolve_indicator(mu, w, x) == convolve_indicator(mu, A, x), x
 
 
+def test_locate_gets_the_balls_of_the_points(geom_seq, monkeypatch):
+    # torus_locate and decode_near carry their values as (midpoint, radius)
+    # balls and build no Point; the ball that reaches locate must be, bit
+    # for bit, the approx() of the Point it stands for: the lift x + k, or
+    # v less the points that decode_near has chosen so far
+    from sweepout import builder, exactreal
+
+    w = trim_witness(build_witness(geom_seq, F(1, 12), F(1, 2)), geom_seq)
+    locate, seen = exactreal.locate, []
+
+    def spy(apx, m, r):
+        # decode_near's chosen points are a local of its caller, rec
+        seen.append((sys._getframe(1).f_locals.get("chosen"), m, r))
+        return locate(apx, m, r)
+
+    monkeypatch.setattr(exactreal, "locate", spy)
+    monkeypatch.setattr(builder, "locate", spy)
+    e, g_pts = w.eps_prime, w.explicit_G()
+    edges = w.thickened(g_pts).edge_points()
+    apx = [p.approx() for p in edges]
+    probes = [g + off + k for g in g_pts for k in (-2, 0, 1, 3)
+              for off in (e * F(1, 3), e, e * F(-996, 997), e * 3)]
+    lifts = []
+    for x in probes:
+        seen.clear()
+        got = exactreal.torus_locate(x, edges, apx)
+        assert [(m, r) for _, m, r in seen] == [(x + k).approx() for k, _ in got]
+        lifts += [k for k, _ in got]
+    assert any(lifts) and 0 in lifts
+    levels = set()
+    for v in probes:
+        for use_E_at in (None, *range(w.m)):
+            seen.clear()
+            w.decode_near(v, use_E_at)
+            for chosen, m, r in seen:
+                assert (m, r) == reduce(operator.sub, chosen, v).approx()
+                levels.add(len(chosen))
+    assert levels == set(range(w.m))
+
+
 def test_oscillation_trace(surd_basis):
     seq = geometric_sequence(surd_basis, 14)
     traces = oscillation_trace(seq, [(F(1, 12), F(1, 2))])
@@ -349,10 +392,16 @@ def test_bad_input_raises_config_error(geom_seq, mu_pair, surd_basis, monkeypatc
     raises_config_error(build_witness, geom_seq, F(0), F(1, 2))
     raises_config_error(build_witness, geom_seq, F(1, 12), F(1))
     raises_config_error(oscillation_trace, geom_seq, [])
+    for count in (0, -2):
+        raises_config_error(oscillation_trace, geom_seq, [(F(1, 12), F(1, 2))],
+                            max_sample_points=count)
     w = build_witness(geom_seq, F(1, 12), F(1, 2))
-    # an unknown mode is rejected before any check runs
+    # an unknown mode, or a sampled one with no samples, is rejected before
+    # any check runs
     monkeypatch.setattr(builder, "_factor_checks", None)
     raises_config_error(verify_witness, w, geom_seq, mode="exact")
+    for count in (0, -3):
+        raises_config_error(verify_witness, w, geom_seq, mode="sampled", samples=count)
     blob = json.loads(json.dumps(w.to_json()))
     blob["m"] += 1
     raises_config_error(SweepOutWitness.from_json, surd_basis, blob)

@@ -453,10 +453,11 @@ def test_measure_index_out_of_range_exit_3(tmp_path, capsys, command, params, in
     # a negative index must not pick a measure from the end, and one past
     # the end must say which index is wrong
     write_config(tmp_path, params=params)
+    key = "chebyshev.measure_index" if "chebyshev" in params else "measure_index"
     capsys.readouterr()
     assert run(tmp_path, command) == 3
     err = capsys.readouterr().err
-    assert err == f"config error: measure_index must lie in [0, 12), got {index}\n"
+    assert err == f"config error: params.{key} = {index}: must lie in [0, 12)\n"
 
 
 @pytest.mark.parametrize("command, trim", [
@@ -468,7 +469,7 @@ def test_trim_points_below_one_exit_3(tmp_path, capsys, command, trim):
     capsys.readouterr()
     assert run(tmp_path, command) == 3
     err = capsys.readouterr().err
-    assert err == f"config error: trim_points must be a positive integer, got {trim}\n"
+    assert err == f"config error: params.trim_points = {trim}: must be a positive integer\n"
 
 
 def test_build_witness_trim_points_zero_and_one(tmp_path):
@@ -708,6 +709,9 @@ def test_library_value_and_key_errors_exit_4(config, capsys, monkeypatch, exc):
     ("trace", {"trim_points": 2.5}, "trim_points"),
     ("check-conditions", {"chebyshev": {**_CHEBYSHEV, "measure_index": False}},
      "chebyshev.measure_index"),
+    # a ConfigError of a library parser is named the same way
+    ("find-lambda", {"epsilon": "1/0"}, "epsilon"),
+    ("lattice-count", {"interval_lo": {"coeffs": ["0"]}}, "interval_lo"),
 ])
 def test_param_of_wrong_type_or_syntax_exit_3(tmp_path, capsys, command, params, key):
     # every parameter the CLI reads: a value of the wrong type or syntax
@@ -732,6 +736,28 @@ def test_sup_ratio_builds_honour_witness_caps(tmp_path, cap, code):
     write_config(tmp_path, params={"sup_ratio_targets": ["1/12"], **cap})
     assert run(tmp_path, "build-witness") == code
     assert run(tmp_path, "check-conditions") == code
+
+
+@pytest.mark.parametrize("command, params, message", [
+    ("verify", {"mode": "sampled", "samples": 0},
+     "sampled verification needs samples >= 1, got 0"),
+    ("verify", {"mode": "sampled", "samples": -3},
+     "sampled verification needs samples >= 1, got -3"),
+    ("trace", {"max_sample_points": -2}, "max_sample_points must be at least 1, got -2"),
+    ("trace", {"max_sample_points": 0}, "max_sample_points must be at least 1, got 0"),
+])
+def test_sample_counts_below_one_exit_3(tmp_path, capsys, command, params, message):
+    # zero samples would pass the sampled check with nothing checked, and a
+    # negative count of trace points would drop centres through a slice
+    write_config(tmp_path)
+    extra = ()
+    if command == "verify":
+        assert run(tmp_path, "build-witness") == 0
+        extra = ("--witness", str(tmp_path / "out" / "witness.json"))
+    write_config(tmp_path, params=params)
+    capsys.readouterr()
+    assert run(tmp_path, command, extra=extra) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_unknown_verify_mode_exit_3(config, capsys):
