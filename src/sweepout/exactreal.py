@@ -572,14 +572,20 @@ def certified_clusters(apx: Sequence[tuple[float, float]], limit: float = math.i
     comparison, as position ranges [start, stop) of order; every other
     position is a cluster of its own. The first done positions of order
     make up the clusters whose upper ends all lie below limit (all of
-    them when limit is inf). The running maxima and the cut tests are
-    C-level passes: only the positions inside runs meet a Python loop.
+    them when limit is inf, an infinite radius included). The running
+    maxima and the cut tests are C-level passes: only the positions inside
+    runs meet a Python loop.
     """
     n = len(apx)
     los = [m - _MARGIN_WIDTH * r for m, r in apx]
     order = sorted(range(n), key=los.__getitem__)
     his = [m + _MARGIN_WIDTH * r for m, r in apx]
-    high = list(accumulate(map(his.__getitem__, order), max))
+    high = list(map(his.__getitem__, order))
+    # the running maximum of the upper ends in that order: they are their
+    # own running maximum when they ascend, as they do unless one interval
+    # contains a later one
+    if not all(map(operator.le, high, islice(high, 1, None))):
+        high = list(accumulate(high, max))
     # position k starts a cluster when its lower end lies more than 1e-300
     # above high[k - 1]; otherwise it joins the cluster of k - 1
     cut = map(operator.gt, map(los.__getitem__, islice(order, 1, None)),
@@ -590,7 +596,8 @@ def certified_clusters(apx: Sequence[tuple[float, float]], limit: float = math.i
             runs[-1][1] = k + 1
         else:
             runs.append([k - 1, k + 1])
-    done = bisect_left(high, limit)  # positions before it lie below limit
+    # the positions before done lie below limit
+    done = n if limit == math.inf else bisect_left(high, limit)
     while runs and runs[-1][1] > done:  # a cluster across done is not below limit
         done = min(done, runs.pop()[0])
     return order, runs, done

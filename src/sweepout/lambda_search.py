@@ -10,18 +10,22 @@ lam in (0, r], r = min(eps*x_1 / (2(1-eps)), delta), the mean value
 exceeds (1 - 3 eps) * |mu|, so some piece must too.
 
 One top-down sweep walks that step function from r to a floor and yields
-its pieces (lo, hi, value) by decreasing lam. The window ends are
-doubles: an end keeps its atom t and the ratio a/b with end t * a/b, and
-the enclosure that the Point t * a/b would carry (exactreal.scaled_approx).
-The sweep reads the ends in blocks, below double thresholds r * 0.9^j,
-orders each block by one float sort cut into certified clusters
-(exactreal.certified_clusters, the cut sort_points uses), and passes a
-cluster on once it lies above every atom's next unread end by that cut
+its pieces (lo, hi, value) by decreasing lam. The sweep reads the window
+ends in blocks, below double thresholds r * 0.9^j: for each atom t, the
+block's windows are one run of doubles, the balls (midpoint, radius) of
+the ends t * a/b computed in one pass from t.approx() in the order of
+operations of exactreal.scaled_approx, so that each is bit for bit the
+enclosure that the Point t * a/b would carry. The run is sized from the
+block threshold; an end's ratio a/b follows from its position in the run.
+Each block is ordered by one float sort cut into certified clusters
+(exactreal.certified_clusters, the cut sort_points uses), and a cluster
+is passed on once it lies above every atom's next unread end by that cut
 (exactreal.cut_limit): that end lies exactly above all of the atom's
-unread ends. An end's exact Point is built only where it is read: for the
-ends of a cluster of two or more, in the clipping tests against r and the
-floor, for a probed piece, for LambdaProfile.pieces, and for values so
-small that the radii swamp them, where the ends are ordered exactly.
+unread ends. An end is a tuple of its doubles until it is read; an end
+object with its exact Point is built only there: for the ends of a
+cluster of two or more, in the clipping tests against r and the floor,
+for a probed piece, for LambdaProfile.pieces, and for values so small
+that the radii swamp them, where the ends are ordered exactly.
 Piece values are integers in units of 1/D, D the lcm of the mass
 denominators.
 
@@ -50,11 +54,12 @@ are dropped; they carry no measure and keep every set open).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from operator import attrgetter
+from itertools import accumulate, chain, cycle, islice, repeat
+from operator import attrgetter, itemgetter
 
 from .errors import CapExceeded, ConfigError, LambdaNotFound
 from .exactreal import (IntervalSet, Point, certified_clusters, compare,
@@ -119,53 +124,77 @@ def _mass_units(mu: DiscreteMeasure) -> tuple[int, list[int]]:
 def _window_range(t: Point, eps: Fraction, r: Point, lam_floor: Point) -> tuple[int, int]:
     """(k0, k_end): the windows k of atom t that meet (lam_floor, r] are
     k0 <= k < k_end. Only window k0 can reach above r, and only window
-    k_end - 1 below the floor."""
+    k_end - 1 below the floor. Each bound starts from its estimate in
+    doubles and is settled by exact comparisons with r and the floor
+    scaled by integer ratios (eps = n/d)."""
+    n, d = eps.numerator, eps.denominator
     tf = float(t)  # caches t's approximation, which every window end inherits
-    k0 = max(0, int(tf / float(r) - float(1 - eps)) - 2)
-    # k0 is the smallest k with lower end t/(k+1-eps) below r
-    while compare(r * (k0 + 1 - eps), t) <= 0:
+    # k0 is the smallest k with lower end t/(k+1-eps) = t d/((k+1) d - n) below r
+    k0 = max(0, int(tf / float(r) - float(1 - eps)) + 1)
+    while compare(r.scaled((k0 + 1) * d - n, d), t) <= 0:
         k0 += 1
-    while k0 > 0 and compare(r * (k0 - eps), t) > 0:
+    while k0 > 0 and compare(r.scaled(k0 * d - n, d), t) > 0:
         k0 -= 1
-    # k_end is the smallest k with upper end t/(k+eps) at or below the floor
-    k_end = max(k0, int(tf / float(lam_floor) - float(eps)) - 2)
-    while compare(lam_floor * (k_end + eps), t) < 0:
+    # k_end is the smallest k with upper end t/(k+eps) = t d/(k d + n) at or
+    # below the floor
+    k_end = max(k0, int(tf / float(lam_floor) - float(eps)) + 1)
+    while compare(lam_floor.scaled(k_end * d + n, d), t) < 0:
         k_end += 1
-    while k_end > k0 and compare(lam_floor * (k_end - 1 + eps), t) >= 0:
+    while k_end > k0 and compare(lam_floor.scaled((k_end - 1) * d + n, d), t) >= 0:
         k_end -= 1
     return k0, k_end
 
 
-class _End:
-    """A window end in the sweep, kept as doubles.
+class _End(list):
+    """A window end where it is read: the end object, whose exact Point is
+    built once and kept.
 
     The end is t * a/b for an atom t and a reduced ratio q = (a, b), or the
     Point t itself when q is None (r, the floor, and clipped ends). Its
     (mid, rad) come from t.approx() through scaled_approx, the doubles that
-    the Point t * a/b would carry. The sweep reads ends in blocks and
-    orders them by these doubles. The exact Point, pt, is built only when
-    read: for the ends of a cluster of two or more in that order, for the
-    clipping tests against r and the floor, for a probed piece, for
-    LambdaProfile.pieces, and for ends so small that the radii swamp them,
-    where the sweep orders exactly. dm is the change of the step value
-    there in units of 1/D, and opens the number of windows that the sweep
-    enters when it passes this end (1 for the lo end of a window with a
-    successor; summed when ends merge)."""
+    the Point t * a/b would carry. The sweep keeps most ends as _RunEnds
+    and builds an _End only where an end is read: in the clipping tests
+    against r and the floor (the first and the last window of an atom),
+    for every end of a cluster of two or more, which is ordered exactly
+    and merged, and for the ends that stand for r and the floor. The exact
+    Point, pt, is built when first read. dm is the change of the step
+    value there in units of 1/D, and opens the number of windows that the
+    sweep enters when it passes this end (1 for the lo end of a window
+    with a successor; summed when ends merge). The list holds the ball
+    (-mid, rad), the ball of the negated end, which certified_clusters
+    orders ascending, then dm and opens: the items a _RunEnd begins with,
+    so that the sweep reads both kinds of end by index."""
 
-    __slots__ = ("t", "q", "_pt", "dm", "opens", "mid", "rad")
+    __slots__ = ("t", "q", "_pt", "mid", "rad")
 
     def __init__(self, t: Point, q: tuple[int, int] | None, dm: int):
         self.t = t
         self.q = q
-        self.dm = dm
-        self.opens = 0
         if q is None:
             self._pt = t
-            self.mid, self.rad = t.approx()
+            mid, rad = t.approx()
         else:
             self._pt = None
-            a, b = q
-            self.mid, self.rad = scaled_approx(t.approx(), a, b)
+            mid, rad = scaled_approx(t.approx(), *q)
+        self.mid = mid
+        self.rad = rad
+        self.extend(((-mid, rad), dm, 0))
+
+    @property
+    def dm(self) -> int:
+        return self[1]
+
+    @dm.setter
+    def dm(self, dm: int):
+        self[1] = dm
+
+    @property
+    def opens(self) -> int:
+        return self[2]
+
+    @opens.setter
+    def opens(self, opens: int):
+        self[2] = opens
 
     @property
     def pt(self) -> Point:
@@ -173,6 +202,90 @@ class _End:
         if pt is None:
             pt = self._pt = self.t.scaled(*self.q)
         return pt
+
+
+class _RunEnd(tuple):
+    """A window end t * a/b as the sweep computes it, in a run of one
+    atom's ends (_run_ends): the tuple (ball, dm, opens, t, a, b) of its
+    ball (-mid, rad), bit for bit the ball of the _End t * a/b, its dm and
+    opens (as for _End), the atom t and the ratio (a, b). The run builds
+    it by calling the class on a zip of those, with no Python-level call.
+    pt builds the exact Point afresh at each read; where an end is ordered
+    exactly, it becomes an _End first (_full)."""
+
+    __slots__ = ()
+
+    @property
+    def mid(self) -> float:
+        return -self[0][0]
+
+    @property
+    def rad(self) -> float:
+        return self[0][1]
+
+    @property
+    def pt(self) -> Point:
+        return self[3].scaled(self[4], self[5])
+
+
+# the fields that _End and _RunEnd share, by index
+_BALL = itemgetter(0)
+_DM = itemgetter(1)
+_OPENS = itemgetter(2)
+
+
+def _full(end) -> _End:
+    """end as an _End, which keeps its exact Point once built."""
+    if type(end) is _End:
+        return end
+    _, dm, opens, t, a, b = end
+    full = _End(t, (a, b), dm)
+    full.opens = opens
+    return full
+
+
+def _run_ends(t: Point, m: int, d: int, n: int, k: int, j: int) -> list[_RunEnd]:
+    """The lo end of window w, then the hi end of window w + 1, for
+    k <= w < j: atom t's run of ends, descending, for eps = n/d and mass m
+    in units of 1/D. Every lo end opens a window.
+
+    Each end is t * d/b, b its position's denominator, and its ball is
+    computed in one pass over doubles from t.approx(), bit for bit the
+    (mid, rad) of scaled_approx(t.approx(), d, b), whose order of
+    operations the pass keeps (d/b > 0, so abs(d/b) is d/b)."""
+    count = j - k
+    lo = (k + 1) * d - n  # the lo end of window w is t * d/((w + 1) d - n)
+    bs = [0] * (2 * count)
+    bs[::2] = range(lo, lo + count * d, d)
+    bs[1::2] = range(lo + 2 * n, lo + 2 * n + count * d, d)  # hi: t * d/(w d + n)
+    am, ar = t.approx()
+    grow = ar + abs(am) * 1.2e-16
+    balls = [(-x, grow * qf * 1.01 + abs(x) * 1.2e-16 + 1e-300)
+             for qf in map(d.__truediv__, bs) for x in (am * qf,)]
+    return list(map(_RunEnd, zip(balls, cycle((-m, m)), cycle((1, 0)), repeat(t), repeat(d), bs)))
+
+
+def _block_stop(am: float, d: int, n: int, k: int, last: int, thr: float) -> int:
+    """The first j with k < j < last whose window's hi end has a midpoint
+    am * (d / (j d + n)) below thr, else last: the block reads windows k to
+    j - 1. The midpoints do not rise with j when am >= 0, and all lie
+    below a positive thr when am < 0, so those below thr are a suffix; it
+    is located from the real-valued estimate, then by the midpoints
+    themselves, exactly as the block's reads test them."""
+    if thr == -math.inf:
+        return last
+    est = (am * d / thr - n) / d  # the midpoint of window j is about thr at j = est
+    if not est < last - 1:  # also inf and nan
+        j = last
+    elif est < k:
+        j = k + 1
+    else:
+        j = int(est) + 1
+    while j > k + 1 and am * (d / ((j - 1) * d + n)) < thr:
+        j -= 1
+    while j < last and am * (d / (j * d + n)) >= thr:
+        j += 1
+    return j
 
 
 def _window(t: Point, eps: Fraction, k: int, k0: int, k_end: int,
@@ -214,17 +327,18 @@ def _merged(ends: list[_End]) -> list[_End]:
     return out
 
 
-def _descending(ends: list[_End], unread) -> tuple[list[_End], list[_End]]:
+def _descending(ends: list, unread) -> tuple[list, list]:
     """(passed, rest): the clusters of ends that lie above every end of
     unread by the certified cut, in exact descending order with equal ends
-    merged, and the other ends. The ends are negated so that
-    certified_clusters ascends."""
-    limit = cut_limit([(-e.mid, e.rad) for e in unread])
-    order, runs, done = certified_clusters([(-e.mid, e.rad) for e in ends], limit)
-    passed = [ends[i] for i in order[:done]]
-    rest = [ends[i] for i in order[done:]]
+    merged, and the other ends. certified_clusters reads the ends' balls,
+    which are negated so that it ascends; the ends of a cluster of two or
+    more become _Ends (_full) to be ordered exactly."""
+    limit = cut_limit(list(map(_BALL, unread)))
+    order, runs, done = certified_clusters(list(map(_BALL, ends)), limit)
+    passed = list(map(ends.__getitem__, order[:done]))
+    rest = list(map(ends.__getitem__, order[done:]))
     for start, stop in reversed(runs):  # merging shortens passed from here on
-        passed[start:stop] = _merged(passed[start:stop])
+        passed[start:stop] = _merged(list(map(_full, passed[start:stop])))
     return passed, rest
 
 
@@ -235,28 +349,33 @@ _BLOCK_READS = 64  # windows that one atom may read in one block
 def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
            windows, piece_cap: int):
     """The pieces (lo, hi, value) of the step function on (lam_floor, r],
-    from r down: lo and hi are _Ends, value is in units of 1/D (see
-    _mass_units). Equal window ends are merged (see _merged). Raises
-    CapExceeded once more than piece_cap windows have been entered: each
-    atom's first window at the start, and the next one each time the
-    sweep passes the lo end of a window.
+    from r down: lo and hi are ends (_End or _RunEnd, both with mid and
+    pt), value is in units of 1/D (see _mass_units). Equal window ends are
+    merged (see _merged). Raises CapExceeded once more than piece_cap
+    windows have been entered: each atom's first window at the start, and
+    the next one each time the sweep passes the lo end of a window.
 
     The ends are read in blocks below thresholds thr = r * 0.9^j, doubles:
-    each atom's cursor reads its windows while the midpoint of its next hi
-    end is at least thr, at most _BLOCK_READS of them (then the next block
-    keeps thr; a thr that underflows to 0 becomes -inf, so the rest is
-    read a block at a time). The block and the ends carried over are
-    ordered by one float sort and the certified cluster cut (_descending);
-    only clusters of two or more ends are compared exactly. A cluster is
-    passed only when the same cut separates it from every atom's next
-    unread hi end, which lies exactly above all of that atom's unread
-    ends; the first cluster that is not, and all after it, carry over.
-    Where the radii swamp the values no cluster passes: when a block read
-    ends and passed none, the ends exactly above every next unread hi end
-    pass instead."""
+    each atom reads its windows while the midpoint of its next hi end is
+    at least thr, at most _BLOCK_READS of them (then the next block keeps
+    thr; a thr that underflows to 0 becomes -inf, so the rest is read a
+    block at a time). _block_stop finds where an atom's reads stop, and
+    _run_ends computes the ends of those windows as one run of doubles,
+    with the next unread hi end; only the first window's hi end (clipped
+    at r) and the last window's lo end (clipped at the floor) are _Ends
+    from the start. The block and the ends carried over are ordered by one
+    float sort and the certified cluster cut (_descending); only clusters
+    of two or more ends are compared exactly. A cluster is passed only
+    when the same cut separates it from every atom's next unread hi end,
+    which lies exactly above all of that atom's unread ends; the first
+    cluster that is not, and all after it, carry over. Where the radii
+    swamp the values no cluster passes: when a block read ends and passed
+    none, the ends exactly above every next unread hi end pass instead.
+    The passed ends' values and window counts are running sums (C-level
+    passes over their dm and opens)."""
     n, d = eps.numerator, eps.denominator
     budget = piece_cap
-    cursors = []  # per atom with windows left: [next hi end, t, dm, k, k_end]
+    cursors = []  # per atom with windows left: [next hi end, its mid, t, dm, k, k_end]
     for t, m, (k0, k_end) in zip(mu.atoms, _mass_units(mu)[1], windows):
         if k0 < k_end:
             budget -= 1
@@ -265,7 +384,7 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
             hi = _End(t, (d, k0 * d + n), m)
             if compare(hi.pt, r) > 0:
                 hi = _End(r, None, m)
-            cursors.append([hi, t, m, k0, k_end])
+            cursors.append([hi, hi.mid, t, m, k0, k_end])
     pending = [_End(r, None, 0)]
     above = None
     value = 0
@@ -280,24 +399,26 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
         carried = len(pending)
         live = []
         for cur in cursors:
-            hi, t, m, k, k_end = cur
-            last = k + _BLOCK_READS
-            while hi.mid >= thr and k < last:
-                lo = _End(t, (d, (k + 1) * d - n), -m)
-                k += 1
-                if k == k_end:
-                    if compare(lo.pt, lam_floor) < 0:
-                        lo = _End(lam_floor, None, -m)
-                    pending += (hi, lo)
-                    break
-                lo.opens = 1
-                pending += (hi, lo)
-                hi = _End(t, (d, k * d + n), m)
-            else:
-                capped = capped or hi.mid >= thr
-                cur[0] = hi
-                cur[3] = k
+            hi, mid, t, m, k, k_end = cur
+            if mid < thr:  # nothing to read in this block
                 live.append(cur)
+                continue
+            pending.append(hi)
+            j = _block_stop(t.approx()[0], d, n, k, min(k + _BLOCK_READS, k_end), thr)
+            if j == k_end:  # the atom's last window: its lo end is clipped
+                pending += _run_ends(t, m, d, n, k, j - 1)
+                lo = _End(t, (d, k_end * d - n), -m)
+                if compare(lo.pt, lam_floor) < 0:
+                    lo = _End(lam_floor, None, -m)
+                pending.append(lo)
+                continue
+            run = _run_ends(t, m, d, n, k, j)
+            cur[0] = hi = run.pop()
+            cur[1] = mid = hi.mid
+            cur[4] = j
+            pending += run
+            capped = capped or (j - k == _BLOCK_READS and mid >= thr)
+            live.append(cur)
         cursors = live
         if not cursors:
             pending.append(_End(lam_floor, None, 0))
@@ -306,20 +427,27 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
         if not passed and read and cursors:
             # the doubles separate nothing here: order the ends exactly and
             # pass those exactly above every next unread hi end
-            unread = max((cur[0] for cur in cursors),
-                         key=cmp_to_key(lambda a, b: compare(a.pt, b.pt))).pt
+            unread = max((cur[0].pt for cur in cursors), key=cmp_to_key(compare))
             ends, _ = _descending(pending, ())
             cut = bisect_left(ends, True, key=lambda e: compare(e.pt, unread) <= 0)
             passed, pending = ends[:cut], ends[cut:]
-        for end in passed:
-            if end.opens:
-                budget -= end.opens
-                if budget < 0:
-                    raise CapExceeded(f"profile needs more than {piece_cap} pieces")
-            if above is not None:
-                yield end, above, value
-            value += end.dm
-            above = end
+        if passed:
+            # each passed end is the lo end of a piece, below the end passed
+            # before it, with the value above it
+            opened = sum(map(_OPENS, passed))
+            count = len(passed)
+            if opened > budget:  # the ends passed before the cap
+                count = bisect_right(list(accumulate(map(_OPENS, passed))), budget)
+            values = list(accumulate(map(_DM, passed), initial=value))
+            pieces = zip(islice(passed, count), chain((above,), passed), values)
+            if above is None:  # r: no piece lies above it
+                next(pieces, None)
+            yield from pieces
+            if count < len(passed):
+                raise CapExceeded(f"profile needs more than {piece_cap} pieces")
+            budget -= opened
+            value = values[-1]
+            above = passed[-1]
         if not cursors:  # the floor was the last end: nothing is left
             return
 
@@ -367,7 +495,10 @@ class LambdaProfile:
     @cached_property
     def pieces(self) -> list[tuple[Point, Point, Fraction]]:
         values = self._values()
-        return [(lo.pt, hi.pt, values[v]) for lo, hi, v in self._ends]
+        ends = self._ends
+        # each piece's hi end is the next piece's lo end: one Point per end
+        pts = [lo.pt for lo, _, _ in ends[:1]] + [hi.pt for _, hi, _ in ends]
+        return [(lo, hi, values[v]) for lo, hi, (_, _, v) in zip(pts, pts[1:], ends)]
 
     @property
     def piece_count(self) -> int:
@@ -569,8 +700,9 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
         sweep = _sweep(mu, eps, r, lam_floor, _windows(mu, eps, r, lam_floor), piece_cap)
         pieces = probes = top = 0
         ranked = {}  # value -> its first qualifying pieces, lam descending
-        for lo, hi, v in sweep:
+        for piece in sweep:  # its ends are read only where it is kept or probed
             pieces += 1
+            v = piece[2]
             if v > top:
                 top = v
             if v > above:
@@ -579,9 +711,9 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
                     if group is None:
                         group = ranked[v] = []
                     if len(group) < candidate_cap:
-                        group.append((lo, hi, v))
+                        group.append(piece)
                     continue
-                found = probe(lo, hi, v)
+                found = probe(*piece)
                 if found:
                     return found
                 probes += 1
@@ -599,8 +731,9 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
     # the diagnostics describe the last attempt's whole arrangement; if it
     # stopped at candidate_cap, its sweep goes on to the floor (on doubles:
     # no Point is built for the pieces it passes)
-    for _, _, v in sweep:
+    for piece in sweep:
         pieces += 1
+        v = piece[2]
         if v > top:
             top = v
     raise LambdaNotFound(

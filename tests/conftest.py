@@ -2,9 +2,25 @@ from fractions import Fraction as F
 
 import pytest
 
+from sweepout import exactreal
 from sweepout.errors import ConfigError
 from sweepout.exactreal import GeneratorBasis
 from sweepout.measures import DiscreteMeasure, MeasureSequence
+
+
+@pytest.fixture
+def filter_off(monkeypatch):
+    """Call it to turn the float filter of exactreal off for the rest of the
+    test. The margin gap of apart becomes 1e6: no two balls that the
+    package meets are then apart, every decision of exactreal goes exact,
+    and certified_clusters puts all the values it orders into one cluster.
+    The gap stays finite: an infinite one would make cut_limit([]) inf - inf,
+    nan, so that the lambda sweep's last block would pass no end."""
+    def off():
+        monkeypatch.setattr(exactreal, "_MARGIN_GAP", 1e6)
+        assert not exactreal.apart(1.0, 0.0)
+
+    return off
 
 
 @pytest.fixture(scope="session")

@@ -532,6 +532,15 @@ def test_certified_clusters_cut_rule():
                         if b - a > 1 and b <= done]
 
 
+def test_certified_clusters_limit_inf_marks_every_position_done():
+    # limit inf marks every position done, even one whose upper end m + 4r
+    # is inf itself; a finite limit passes no cluster that reaches inf
+    apx = [(0.0, math.inf), (1.0, 0.1)]
+    assert exactreal.certified_clusters(apx) == ([0, 1], [[0, 2]], 2)
+    assert exactreal.certified_clusters(apx, math.inf) == ([0, 1], [[0, 2]], 2)
+    assert exactreal.certified_clusters(apx, 5.0) == ([0, 1], [], 0)
+
+
 def test_cut_limit_passes_clusters_below_every_pair():
     # the limit is the lowest lower end of the pairs less the margin, so
     # every value of a passed cluster lies more than 1e-300 below them all

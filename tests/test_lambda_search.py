@@ -10,8 +10,9 @@ from sweepout import lambda_search
 from sweepout.errors import CapExceeded, LambdaNotFound
 from sweepout.exactreal import GeneratorBasis, Point, compare, fraction_str
 from sweepout.lambda_search import (LambdaResult, WindowConstraints, _End,
-                                    _mass_units, _rational_inside, _sweep,
-                                    _window, _window_range, _windows, cutoff_r,
+                                    _mass_units, _rational_inside, _run_ends,
+                                    _sweep, _window, _window_range, _windows,
+                                    cutoff_r,
                                     find_lambda, frac_window_sets,
                                     lambda_profile, window_value)
 from sweepout.measures import DiscreteMeasure
@@ -404,6 +405,59 @@ def test_lazy_ends_carry_the_product_doubles(rat_basis, surd_basis):
     assert clipped > 0
 
 
+def test_run_ends_carry_the_product_doubles(rat_basis, surd_basis):
+    # each end of a run, computed in one pass over doubles, is bit for bit
+    # the ball of the Point t * d/b that its position names: rational and
+    # surd atoms, atoms scaled by 2^-1000, windows k up to 10^4
+    rng = random.Random(263)
+    tiny = F(1, 2**1000)
+    kinds = Counter()
+    for i in range(90):
+        kind = ("rational", "surd", "tiny")[i % 3]
+        a = F(rng.randint(30, 90), 100)
+        if kind == "rational":
+            t = rat_basis.rational(a)
+        elif kind == "surd":
+            t = surd_basis.point(["0", a / 3, F(rng.randint(0, 20), 100)])
+        else:
+            t = rng.choice((rat_basis.rational(a), surd_basis.point(["0", a / 5, "1/9"]))) * tiny
+        eps = F(rng.randint(3, 9), rng.choice((30, 31, 32)))
+        n, d = eps.numerator, eps.denominator
+        k = rng.choice((0, 1, rng.randint(2, 500), rng.randint(9936, 10**4)))
+        j = k + rng.randint(1, 64)
+        m = rng.randint(1, 9)
+        ends = _run_ends(t, m, d, n, k, j)
+        assert len(ends) == 2 * (j - k)
+        for pos, end in enumerate(ends):
+            w = k + pos // 2
+            if pos % 2 == 0:  # the lo end of window w
+                b, dm, opens = (w + 1) * d - n, -m, 1
+            else:  # the hi end of window w + 1
+                b, dm, opens = (w + 1) * d + n, m, 0
+            want = t.scaled(d, b)
+            assert tuple(end[1:]) == (dm, opens, t, d, b)
+            assert _bits((end.mid, end.rad)) == _bits(want.approx())
+            assert _bits(end[0]) == _bits((-want.approx()[0], want.approx()[1]))
+            assert end.pt.key == (t * F(d, b)).key
+            kinds[kind, k >= 9936] += 1
+    assert min(kinds.values()) > 0 and len(kinds) == 6, kinds
+
+
+def test_sweep_ends_carry_their_points_doubles(rat_basis, surd_basis):
+    # every end the sweep yields, whichever kind it is, carries the doubles
+    # of its own Point
+    for mu, eps, delta, floor_scale, piece_cap in _sweep_cases(rat_basis, surd_basis, 48):
+        r = cutoff_r(mu, eps, delta)
+        lam_floor = r * F(1, floor_scale)
+        try:
+            for lo, hi, _ in _sweep(mu, eps, r, lam_floor,
+                                    _windows(mu, eps, r, lam_floor), piece_cap):
+                assert _bits((lo.mid, lo.rad)) == _bits(lo.pt.approx())
+                assert _bits((hi.mid, hi.rad)) == _bits(hi.pt.approx())
+        except CapExceeded:
+            pass
+
+
 def test_csv_rows_read_the_ends(rat_basis, surd_basis):
     # the CSV is written from the ends; it prints exactly float() of the
     # Points that pieces builds (floor_scale 1 included: no rows)
@@ -632,6 +686,31 @@ def test_block_sweep_matches_heap_merge(rat_basis, surd_basis):
                                  "capped after pieces")) >= 10, seen
 
 
+def test_sweep_and_csv_same_with_filter_off(rat_basis, surd_basis, filter_off):
+    # the float filter only saves time: with every decision exact, the
+    # sweep yields the same pieces and lambda_profile.csv the same rows
+    # (a seeded slice of the sweep cases, one of each kind)
+    cases = _sweep_cases(rat_basis, surd_basis, 36)
+
+    def outcomes():
+        out = []
+        for mu, eps, delta, floor_scale, piece_cap in cases:
+            r = cutoff_r(mu, eps, delta)
+            trace = _trace(_sweep, mu, eps, r, r * F(1, floor_scale), piece_cap)
+            prof = lambda_profile(mu, eps, delta, floor_scale=floor_scale, piece_cap=piece_cap)
+            try:
+                rows = list(prof.csv_rows())
+            except CapExceeded as exc:
+                rows = str(exc)
+            out.append((trace, rows))
+        return out
+
+    want = outcomes()
+    filter_off()
+    assert outcomes() == want
+    assert sum(isinstance(rows, list) and len(rows) > 1 for _, rows in want) >= 10
+
+
 def _find_outcome(mu, eps, delta, **kw):
     try:
         res = find_lambda(mu, eps, delta, **kw)
@@ -663,21 +742,28 @@ def test_find_lambda_same_with_heap_merge(rat_basis, surd_basis, monkeypatch):
 @pytest.mark.parametrize("scale, floor_scale", [(1, 10**6), (F(1, 2**1000), 10**3)])
 def test_find_lambda_reads_few_ends(surd_basis, monkeypatch, scale, floor_scale):
     # demo measure 0: the search stops near r, so only the first blocks of
-    # window ends are read; also at 2^-1000, where the doubles separate no
-    # end and the ends are ordered exactly
+    # window ends are computed, in runs or as end objects; also at 2^-1000,
+    # where the doubles separate no end and the ends are ordered exactly
     mu = DiscreteMeasure([surd_basis.point(["0", "1/4", "0"]) * scale,
                           surd_basis.point(["0", "0", "1/4"]) * scale], [F(1, 2), F(1, 2)])
-    built = [0]
+    computed = [0]
     init = _End.__init__
+    run_ends = lambda_search._run_ends
 
-    def counted(self, *args):
-        built[0] += 1
+    def counted_init(self, *args):
+        computed[0] += 1
         init(self, *args)
 
-    monkeypatch.setattr(_End, "__init__", counted)
+    def counted_run(*args):
+        ends = run_ends(*args)
+        computed[0] += len(ends)
+        return ends
+
+    monkeypatch.setattr(_End, "__init__", counted_init)
+    monkeypatch.setattr(lambda_search, "_run_ends", counted_run)
     res = find_lambda(mu, F(1, 6), F(1, 2), floor_scale=floor_scale)
     assert res.value == 1
-    assert built[0] < 100, built[0]
+    assert 0 < computed[0] < 100, computed[0]
 
 
 # ---------------------------------------------------------------------------
