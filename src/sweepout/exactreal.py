@@ -296,15 +296,26 @@ def sum_radius(m: float, ar: float, br: float) -> float:
     return (ar + br) * 1.01 + abs(m) * 2.3e-16 + 1e-300
 
 
+def scaled_balls(approx: tuple[float, float], a: int, bs) -> list[tuple[float, float]]:
+    """(midpoint, radius) of x * a/b for each b of bs, from those of x: the
+    radius grows to cover x's radius, the rounding of a/b and of the
+    product, and underflow. A run of ratios with one numerator takes one
+    pass over doubles."""
+    am, ar = approx
+    grow = ar + abs(am) * 1.2e-16
+    out = []
+    for b in bs:
+        qf = a / b
+        m = am * qf
+        out.append((m, grow * abs(qf) * 1.01 + abs(m) * 1.2e-16 + 1e-300))
+    return out
+
+
 def scaled_approx(approx: tuple[float, float], a: int, b: int) -> tuple[float, float]:
-    """(midpoint, radius) of x * a/b from those of x: the radius grows to
-    cover x's radius, the rounding of a/b and of the product, and underflow.
+    """(midpoint, radius) of x * a/b from those of x (scaled_balls).
     Point.__mul__ uses it, so a value kept as x and a/b gets exactly the
     doubles that the Point x * a/b would carry."""
-    am, ar = approx
-    qf = a / b
-    m = am * qf
-    return m, (ar + abs(am) * 1.2e-16) * abs(qf) * 1.01 + abs(m) * 1.2e-16 + 1e-300
+    return scaled_balls(approx, a, (b,))[0]
 
 
 class Point:
@@ -580,10 +591,10 @@ def certified_clusters(apx: Sequence[tuple[float, float]], limit: float = math.i
     los = [m - _MARGIN_WIDTH * r for m, r in apx]
     order = sorted(range(n), key=los.__getitem__)
     his = [m + _MARGIN_WIDTH * r for m, r in apx]
-    high = list(map(his.__getitem__, order))
     # the running maximum of the upper ends in that order: they are their
     # own running maximum when they ascend, as they do unless one interval
-    # contains a later one
+    # contains a later one; the test is cheaper than the maximum
+    high = list(map(his.__getitem__, order))
     if not all(map(operator.le, high, islice(high, 1, None))):
         high = list(accumulate(high, max))
     # position k starts a cluster when its lower end lies more than 1e-300

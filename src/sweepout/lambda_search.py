@@ -21,8 +21,8 @@ Each block is ordered by one float sort cut into certified clusters
 (exactreal.certified_clusters, the cut sort_points uses), and a cluster
 is passed on once it lies above every atom's next unread end by that cut
 (exactreal.cut_limit): that end lies exactly above all of the atom's
-unread ends. An end is a tuple of its doubles until it is read; an end
-object with its exact Point is built only there: for the ends of a
+unread ends. An end is a tuple of its ball, its step change and its
+ratio; its exact Point is built only where it is read: for the ends of a
 cluster of two or more, in the clipping tests against r and the floor,
 for a probed piece, for LambdaProfile.pieces, and for values so small
 that the radii swamp them, where the ends are ordered exactly.
@@ -54,18 +54,18 @@ are dropped; they carry no measure and keep every set open).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
-from itertools import accumulate, chain, cycle, islice, repeat
-from operator import attrgetter, itemgetter
+from functools import cached_property, cmp_to_key, partial
+from itertools import cycle, repeat
+from operator import itemgetter
 
 from .errors import CapExceeded, ConfigError, LambdaNotFound
 from .exactreal import (IntervalSet, Point, certified_clusters, compare,
                         cut_limit, decimal_enclosure_str, escalate,
                         floor_point, fraction_str, parse_fraction,
-                        scaled_approx)
+                        scaled_approx, scaled_balls)
 from .measures import DiscreteMeasure
 
 DEFAULT_FLOOR_SCALE = 10**4
@@ -145,75 +145,40 @@ def _window_range(t: Point, eps: Fraction, r: Point, lam_floor: Point) -> tuple[
     return k0, k_end
 
 
-class _End(list):
-    """A window end where it is read: the end object, whose exact Point is
-    built once and kept.
+_BALL = itemgetter(0)  # an _End's ball, for C-level passes over many ends
+
+
+class _End(tuple):
+    """A window end in the sweep: the tuple (ball, dm, opens, t, a, b).
 
     The end is t * a/b for an atom t and a reduced ratio q = (a, b), or the
-    Point t itself when q is None (r, the floor, and clipped ends). Its
-    (mid, rad) come from t.approx() through scaled_approx, the doubles that
-    the Point t * a/b would carry. The sweep keeps most ends as _RunEnds
-    and builds an _End only where an end is read: in the clipping tests
-    against r and the floor (the first and the last window of an atom),
-    for every end of a cluster of two or more, which is ordered exactly
-    and merged, and for the ends that stand for r and the floor. The exact
-    Point, pt, is built when first read. dm is the change of the step
-    value there in units of 1/D, and opens the number of windows that the
-    sweep enters when it passes this end (1 for the lo end of a window
-    with a successor; summed when ends merge). The list holds the ball
-    (-mid, rad), the ball of the negated end, which certified_clusters
-    orders ascending, then dm and opens: the items a _RunEnd begins with,
-    so that the sweep reads both kinds of end by index."""
-
-    __slots__ = ("t", "q", "_pt", "mid", "rad")
-
-    def __init__(self, t: Point, q: tuple[int, int] | None, dm: int):
-        self.t = t
-        self.q = q
-        if q is None:
-            self._pt = t
-            mid, rad = t.approx()
-        else:
-            self._pt = None
-            mid, rad = scaled_approx(t.approx(), *q)
-        self.mid = mid
-        self.rad = rad
-        self.extend(((-mid, rad), dm, 0))
-
-    @property
-    def dm(self) -> int:
-        return self[1]
-
-    @dm.setter
-    def dm(self, dm: int):
-        self[1] = dm
-
-    @property
-    def opens(self) -> int:
-        return self[2]
-
-    @opens.setter
-    def opens(self, opens: int):
-        self[2] = opens
-
-    @property
-    def pt(self) -> Point:
-        pt = self._pt
-        if pt is None:
-            pt = self._pt = self.t.scaled(*self.q)
-        return pt
-
-
-class _RunEnd(tuple):
-    """A window end t * a/b as the sweep computes it, in a run of one
-    atom's ends (_run_ends): the tuple (ball, dm, opens, t, a, b) of its
-    ball (-mid, rad), bit for bit the ball of the _End t * a/b, its dm and
-    opens (as for _End), the atom t and the ratio (a, b). The run builds
-    it by calling the class on a zip of those, with no Python-level call.
-    pt builds the exact Point afresh at each read; where an end is ordered
-    exactly, it becomes an _End first (_full)."""
+    Point t itself when q is None and a = b = None (r, the floor, clipped
+    ends, and ends ordered exactly). ball is (-mid, rad), the ball of the
+    negated end, which certified_clusters orders ascending: (mid, rad) are
+    the doubles that the Point t * a/b would carry, scaled_approx of
+    t.approx(). dm is the change of the step value there in units of 1/D,
+    and opens the number of windows that the sweep enters when it passes
+    this end (1 for the lo end of a window with a successor; summed when
+    ends merge). The sweep builds most ends a run at a time (_run_ends),
+    through tuple.__new__ with no Python-level call per end. The exact
+    Point, pt, is built where it is read; an end ordered exactly is
+    rebuilt around its Point (_merged)."""
 
     __slots__ = ()
+
+    def __new__(cls, t: Point, q: tuple[int, int] | None, dm: int):
+        if q is None:
+            mid, rad = t.approx()
+            return tuple.__new__(cls, ((-mid, rad), dm, 0, t, None, None))
+        a, b = q  # t * -a/b: the ball of the negated end
+        return tuple.__new__(cls, (scaled_approx(t.approx(), -a, b), dm, 0, t, a, b))
+
+    dm = property(itemgetter(1))
+    t = property(itemgetter(3))
+
+    @property
+    def q(self) -> tuple[int, int] | None:
+        return None if self[5] is None else self[4:]
 
     @property
     def mid(self) -> float:
@@ -225,44 +190,27 @@ class _RunEnd(tuple):
 
     @property
     def pt(self) -> Point:
-        return self[3].scaled(self[4], self[5])
+        _, _, _, t, a, b = self
+        return t if b is None else t.scaled(a, b)
 
 
-# the fields that _End and _RunEnd share, by index
-_BALL = itemgetter(0)
-_DM = itemgetter(1)
-_OPENS = itemgetter(2)
+_new_end = partial(tuple.__new__, _End)  # an _End from its fields
 
 
-def _full(end) -> _End:
-    """end as an _End, which keeps its exact Point once built."""
-    if type(end) is _End:
-        return end
-    _, dm, opens, t, a, b = end
-    full = _End(t, (a, b), dm)
-    full.opens = opens
-    return full
-
-
-def _run_ends(t: Point, m: int, d: int, n: int, k: int, j: int) -> list[_RunEnd]:
+def _run_ends(t: Point, m: int, d: int, n: int, k: int, j: int) -> list[_End]:
     """The lo end of window w, then the hi end of window w + 1, for
     k <= w < j: atom t's run of ends, descending, for eps = n/d and mass m
-    in units of 1/D. Every lo end opens a window.
-
-    Each end is t * d/b, b its position's denominator, and its ball is
-    computed in one pass over doubles from t.approx(), bit for bit the
-    (mid, rad) of scaled_approx(t.approx(), d, b), whose order of
-    operations the pass keeps (d/b > 0, so abs(d/b) is d/b)."""
+    in units of 1/D. Every lo end opens a window. Each end is t * d/b, b
+    its position's denominator; the balls of the negated ends t * -d/b
+    come from t.approx() in one pass (scaled_balls)."""
     count = j - k
     lo = (k + 1) * d - n  # the lo end of window w is t * d/((w + 1) d - n)
     bs = [0] * (2 * count)
     bs[::2] = range(lo, lo + count * d, d)
     bs[1::2] = range(lo + 2 * n, lo + 2 * n + count * d, d)  # hi: t * d/(w d + n)
-    am, ar = t.approx()
-    grow = ar + abs(am) * 1.2e-16
-    balls = [(-x, grow * qf * 1.01 + abs(x) * 1.2e-16 + 1e-300)
-             for qf in map(d.__truediv__, bs) for x in (am * qf,)]
-    return list(map(_RunEnd, zip(balls, cycle((-m, m)), cycle((1, 0)), repeat(t), repeat(d), bs)))
+    balls = scaled_balls(t.approx(), -d, bs)
+    return list(map(_new_end, zip(balls, cycle((-m, m)), cycle((1, 0)), repeat(t),
+                                  repeat(d), bs)))
 
 
 def _block_stop(am: float, d: int, n: int, k: int, last: int, thr: float) -> int:
@@ -306,39 +254,39 @@ def _window(t: Point, eps: Fraction, k: int, k0: int, k_end: int,
 
 def _merged(ends: list[_End]) -> list[_End]:
     """The distinct points of a cluster of ends, descending, by exact
-    comparison. Equal ends merge: the one with the smallest midpoint (the
-    first of them on a tie) represents them, with their dm and opens
-    summed."""
-    # by midpoint first, so that the exact sort meets nearly sorted runs
-    # even where the radii swamp the values (the tiniest ends)
-    ends.sort(key=attrgetter("mid"), reverse=True)
-    ends.sort(key=cmp_to_key(lambda a, b: compare(b.pt, a.pt)))
-    out = [ends[0]]
-    for end in ends[1:]:
-        rep = out[-1]
-        if end.pt.key != rep.pt.key:  # reduced keys: equal exactly when equal points
-            out.append(end)
-            continue
-        if end.mid < rep.mid:
-            rep, end = end, rep
-            out[-1] = rep
-        rep.dm += end.dm
-        rep.opens += end.opens
+    comparison, each end rebuilt around its Point. Equal ends merge: the
+    one with the smallest midpoint (the first of them on a tie) represents
+    them, with their dm and opens summed."""
+    # by midpoint first (descending: the ball holds -mid), so that the exact
+    # sort meets nearly sorted runs even where the radii swamp the values
+    # (the tiniest ends)
+    ends = sorted(ends, key=lambda e: e[0][0])
+    pts = [end.pt for end in ends]
+    out = []
+    for i in sorted(range(len(ends)), key=cmp_to_key(lambda i, j: compare(pts[j], pts[i]))):
+        ball, dm, opens = ends[i][:3]
+        pt = pts[i]
+        if out and pt.key == out[-1][3].key:  # reduced keys: equal exactly when equal points
+            rep_ball, rep_dm, rep_opens, rep_pt = out[-1][:4]
+            if ball[0] <= rep_ball[0]:  # the representative's midpoint is the smaller
+                ball, pt = rep_ball, rep_pt
+            out[-1] = _new_end((ball, dm + rep_dm, opens + rep_opens, pt, None, None))
+        else:
+            out.append(_new_end((ball, dm, opens, pt, None, None)))
     return out
 
 
-def _descending(ends: list, unread) -> tuple[list, list]:
+def _descending(ends: list[_End], unread) -> tuple[list[_End], list[_End]]:
     """(passed, rest): the clusters of ends that lie above every end of
     unread by the certified cut, in exact descending order with equal ends
     merged, and the other ends. certified_clusters reads the ends' balls,
-    which are negated so that it ascends; the ends of a cluster of two or
-    more become _Ends (_full) to be ordered exactly."""
+    which are negated so that it ascends."""
     limit = cut_limit(list(map(_BALL, unread)))
     order, runs, done = certified_clusters(list(map(_BALL, ends)), limit)
     passed = list(map(ends.__getitem__, order[:done]))
     rest = list(map(ends.__getitem__, order[done:]))
     for start, stop in reversed(runs):  # merging shortens passed from here on
-        passed[start:stop] = _merged(list(map(_full, passed[start:stop])))
+        passed[start:stop] = _merged(passed[start:stop])
     return passed, rest
 
 
@@ -349,11 +297,11 @@ _BLOCK_READS = 64  # windows that one atom may read in one block
 def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
            windows, piece_cap: int):
     """The pieces (lo, hi, value) of the step function on (lam_floor, r],
-    from r down: lo and hi are ends (_End or _RunEnd, both with mid and
-    pt), value is in units of 1/D (see _mass_units). Equal window ends are
-    merged (see _merged). Raises CapExceeded once more than piece_cap
-    windows have been entered: each atom's first window at the start, and
-    the next one each time the sweep passes the lo end of a window.
+    from r down: lo and hi are _Ends, value is in units of 1/D (see
+    _mass_units). Equal window ends are merged (see _merged). Raises
+    CapExceeded once more than piece_cap windows have been entered: each
+    atom's first window at the start, and the next one each time the
+    sweep passes the lo end of a window.
 
     The ends are read in blocks below thresholds thr = r * 0.9^j, doubles:
     each atom reads its windows while the midpoint of its next hi end is
@@ -362,17 +310,16 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
     block at a time). _block_stop finds where an atom's reads stop, and
     _run_ends computes the ends of those windows as one run of doubles,
     with the next unread hi end; only the first window's hi end (clipped
-    at r) and the last window's lo end (clipped at the floor) are _Ends
-    from the start. The block and the ends carried over are ordered by one
-    float sort and the certified cluster cut (_descending); only clusters
-    of two or more ends are compared exactly. A cluster is passed only
-    when the same cut separates it from every atom's next unread hi end,
-    which lies exactly above all of that atom's unread ends; the first
-    cluster that is not, and all after it, carry over. Where the radii
-    swamp the values no cluster passes: when a block read ends and passed
-    none, the ends exactly above every next unread hi end pass instead.
-    The passed ends' values and window counts are running sums (C-level
-    passes over their dm and opens)."""
+    at r) and the last window's lo end (clipped at the floor) are built
+    one at a time, for their clipping tests. The block and the ends
+    carried over are ordered by one float sort and the certified cluster
+    cut (_descending); only clusters of two or more ends are compared
+    exactly. A cluster is passed only when the same cut separates it from
+    every atom's next unread hi end, which lies exactly above all of that
+    atom's unread ends; the first cluster that is not, and all after it,
+    carry over. Where the radii swamp the values no cluster passes: when
+    a block read ends and passed none, the ends exactly above every next
+    unread hi end pass instead."""
     n, d = eps.numerator, eps.denominator
     budget = piece_cap
     cursors = []  # per atom with windows left: [next hi end, its mid, t, dm, k, k_end]
@@ -431,23 +378,15 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
             ends, _ = _descending(pending, ())
             cut = bisect_left(ends, True, key=lambda e: compare(e.pt, unread) <= 0)
             passed, pending = ends[:cut], ends[cut:]
-        if passed:
-            # each passed end is the lo end of a piece, below the end passed
-            # before it, with the value above it
-            opened = sum(map(_OPENS, passed))
-            count = len(passed)
-            if opened > budget:  # the ends passed before the cap
-                count = bisect_right(list(accumulate(map(_OPENS, passed))), budget)
-            values = list(accumulate(map(_DM, passed), initial=value))
-            pieces = zip(islice(passed, count), chain((above,), passed), values)
-            if above is None:  # r: no piece lies above it
-                next(pieces, None)
-            yield from pieces
-            if count < len(passed):
-                raise CapExceeded(f"profile needs more than {piece_cap} pieces")
-            budget -= opened
-            value = values[-1]
-            above = passed[-1]
+        for end in passed:
+            if end[2]:  # opens
+                budget -= end[2]
+                if budget < 0:
+                    raise CapExceeded(f"profile needs more than {piece_cap} pieces")
+            if above is not None:
+                yield end, above, value
+            value += end[1]  # dm
+            above = end
         if not cursors:  # the floor was the last end: nothing is left
             return
 
@@ -700,9 +639,8 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
         sweep = _sweep(mu, eps, r, lam_floor, _windows(mu, eps, r, lam_floor), piece_cap)
         pieces = probes = top = 0
         ranked = {}  # value -> its first qualifying pieces, lam descending
-        for piece in sweep:  # its ends are read only where it is kept or probed
+        for lo, hi, v in sweep:
             pieces += 1
-            v = piece[2]
             if v > top:
                 top = v
             if v > above:
@@ -711,9 +649,9 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
                     if group is None:
                         group = ranked[v] = []
                     if len(group) < candidate_cap:
-                        group.append(piece)
+                        group.append((lo, hi, v))
                     continue
-                found = probe(*piece)
+                found = probe(lo, hi, v)
                 if found:
                     return found
                 probes += 1
@@ -731,9 +669,8 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
     # the diagnostics describe the last attempt's whole arrangement; if it
     # stopped at candidate_cap, its sweep goes on to the floor (on doubles:
     # no Point is built for the pieces it passes)
-    for piece in sweep:
+    for _, _, v in sweep:
         pieces += 1
-        v = piece[2]
         if v > top:
             top = v
     raise LambdaNotFound(
