@@ -38,7 +38,7 @@ from .errors import (CapExceeded, ConfigError, GrowthExhausted,
                      SequenceExhausted, VerificationFailed)
 from .exactreal import (GeneratorBasis, IntervalSet, Point, PointSet, apart,
                         bisect_points, compare, decimal_enclosure_str,
-                        fraction_str, locate, max_abs, min_gap, parse_fraction,
+                        extent, fraction_str, locate, parse_fraction,
                         sort_points, sum_radius, torus_locate)
 from .lambda_search import WindowConstraints, active_atoms, find_lambda
 from .lattice import DEFAULT_TUPLE_CAP, decompose, lattice_hits
@@ -47,6 +47,7 @@ from .measures import (DiscreteMeasure, MeasureSequence, convolve_indicator,
 
 DEFAULT_M_MAX = 64
 DEFAULT_EXPLICIT_CAP = 10**6
+_EG_FLOOR_SCALE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +131,7 @@ class EGPair:
 
 
 def build_eg(mu: DiscreteMeasure, eps: Fraction, m_max: int = DEFAULT_M_MAX,
-             mu_index: int = 0, tuple_cap: int = DEFAULT_TUPLE_CAP,
-             floor_scale: int = 64) -> EGPair:
+             mu_index: int = 0, tuple_cap: int = DEFAULT_TUPLE_CAP) -> EGPair:
     """Construct a certified witness pair for one measure.
 
     lam is fixed once through the constrained window search; the lattice
@@ -140,9 +140,9 @@ def build_eg(mu: DiscreteMeasure, eps: Fraction, m_max: int = DEFAULT_M_MAX,
     re-checks every pair inequality exactly.
 
     The window search only ever consumes the largest-lam qualifying piece
-    here, so a shallow profile floor suffices; the search lowers the
-    floor by itself whenever the feasibility constraints reject every
-    piece above it.
+    here, so a shallow profile floor (r / _EG_FLOOR_SCALE) suffices; the
+    search lowers the floor by itself whenever the feasibility constraints
+    reject every piece above it.
 
     A rational support (nu = 1) is degenerate: its grid inside
     (-x_l, x_l) is a fixed finite set, so level growth cannot populate
@@ -157,7 +157,7 @@ def build_eg(mu: DiscreteMeasure, eps: Fraction, m_max: int = DEFAULT_M_MAX,
     spec = decompose(mu.support())
     constraints = WindowConstraints(x_1=mu.x_1, x_l=mu.x_l)
     res = find_lambda(mu, eps, delta=Fraction(1), constraints=constraints,
-                      floor_scale=floor_scale)
+                      floor_scale=_EG_FLOOR_SCALE)
     U, V = res.U, res.V
     best_ratio = None
     if len(mu) > 1:
@@ -220,6 +220,14 @@ class SeparationReport:
         return {"ok": self.ok, "failing_pair": self.failing_pair, "rows": self.rows}
 
 
+def _extent(points: Sequence[Point]) -> tuple[Point, Point, Point]:
+    """(max|A|, max A, d(A)) of a point set A, from its one exact sort
+    (exactreal.extent)."""
+    least, greatest, gap = extent(points)
+    neg = -least
+    return greatest if compare(greatest, neg) >= 0 else neg, greatest, gap
+
+
 def separation_check(sets: Sequence[Sequence[Point]]) -> SeparationReport:
     """Certified check of  max A_{k+1} <= d(A_k) / 4  for consecutive sets.
 
@@ -228,17 +236,18 @@ def separation_check(sets: Sequence[Sequence[Point]]) -> SeparationReport:
     The signed-max reading is evaluated too and recorded in each row, so
     the certificate states which reading drove the verdict.
     """
-    if not sets:
+    return _separation([_extent(s) for s in sets])
+
+
+def _separation(extents: Sequence[tuple[Point, Point, Point]]) -> SeparationReport:
+    """separation_check from the _extent of each set."""
+    if not extents:
         raise ValueError("no sets given")
     rows = []
     ok = True
     failing = None
-    for k in range(len(sets) - 1):
-        d_k = min_gap(sets[k])
+    for k, ((_, _, d_k), (abs_max, signed_max, _)) in enumerate(zip(extents, extents[1:])):
         quarter = d_k * Fraction(1, 4)
-        nxt = list(sets[k + 1])
-        abs_max = max_abs(nxt)
-        signed_max = max(nxt)
         ok_abs = compare(abs_max, quarter) <= 0
         ok_signed = compare(signed_max, quarter) <= 0
         rows.append({
@@ -328,15 +337,14 @@ def select_subsequence(seq: MeasureSequence, eps: Fraction, m: int,
                             "required": decimal_enclosure_str(prev_quarter)})
             continue
         pair = build_eg(mu, eps, m_max=m_max, mu_index=idx, tuple_cap=tuple_cap)
-        pts = pair.points()
-        mx = max_abs(pts)
+        mx, _, gap = _extent(pair.points())
         if prev_quarter is not None and compare(mx, prev_quarter) >= 0:
             skipped.append({"index": idx, "reason": "gap condition failed after build",
                             "max_abs": decimal_enclosure_str(mx)})
             continue
         indices.append(idx)
         factors.append(pair)
-        prev_quarter = min_gap(pts) * Fraction(1, 4)
+        prev_quarter = gap * Fraction(1, 4)
     if len(factors) < m:
         raise SequenceExhausted(
             f"selected only {len(factors)} of {m} factors; next factor needs "
@@ -521,18 +529,17 @@ class SweepOutWitness:
         return w
 
 
-def _certified_thickening(factor_sets: Sequence[Sequence[Point]]) -> Point:
+def _certified_thickening(extents: Sequence[tuple[Point, Point, Point]]) -> Point:
     """Lower bound for half the minimum gap of the full sumset:
-    min_k ( d(A_k) - 2 sum_{i>k} max|A_i| ) / 2, certified positive."""
-    maxima = [max_abs(s) for s in factor_sets]
-    best = None
-    for k in range(len(factor_sets)):
-        slack = min_gap(factor_sets[k])
-        for i in range(k + 1, len(factor_sets)):
-            slack = slack - maxima[i] * 2
-        half = slack * Fraction(1, 2)
+    min_k ( d(A_k) - 2 sum_{i>k} max|A_i| ) / 2, certified positive, from
+    the _extent of each factor set A_k; the sums over i > k are suffix
+    sums."""
+    best = tail = None  # tail: sum_{i>k} max|A_i|
+    for abs_max, _, gap in reversed(extents):
+        half = (gap if tail is None else gap - tail * 2) * Fraction(1, 2)
         if best is None or compare(half, best) < 0:
             best = half
+        tail = abs_max if tail is None else tail + abs_max
     if best is None or best.sign() <= 0:
         raise VerificationFailed("thickening radius is not certified positive")
     return best
@@ -582,12 +589,12 @@ def _assemble(Delta: Fraction, delta: Fraction, eps: Fraction,
     """Certify a factor family as a sweep-out witness: the separation
     chain, a positive thickening radius and #E > Delta #G, all exact.
     The one assembly path behind build_witness and trim_witness."""
-    factor_sets = [f.points() for f in factors]
-    sep = separation_check(factor_sets)
+    extents = [_extent(f.points()) for f in factors]
+    sep = _separation(extents)
     if not sep.ok:
         raise VerificationFailed("separation chain failed on selected factors",
                                  report=sep.to_json())
-    eps_prime = _certified_thickening(factor_sets)
+    eps_prime = _certified_thickening(extents)
     count_G, count_F = _product_counts(factors)
     count_E = sum(count_F)
     if not Fraction(count_E) > Delta * count_G:
@@ -664,12 +671,13 @@ def _factor_checks(w: SweepOutWitness, seq: MeasureSequence) -> list[Check]:
                       "delta_scaled": fraction_str(scaled)},
             passed=worst > w.delta and worst > scaled,
             method="exact"))
-    sep = separation_check(w.factor_sets())
+    extents = [_extent(s) for s in w.factor_sets()]
+    sep = _separation(extents)
     checks.append(Check(
         name="separation_chain",
         claim="max|A_{k+1}| <= d(A_k)/4 along the selected factors",
         computed=sep.to_json(), passed=sep.ok, method="exact"))
-    eps_prime = _certified_thickening(w.factor_sets())
+    eps_prime = _certified_thickening(extents)
     checks.append(Check(
         name="thickening_radius",
         claim="stored eps_prime is positive and not above the certified bound",

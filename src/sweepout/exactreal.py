@@ -16,12 +16,22 @@ Every certified decision in the package is made here, filter then exact,
 by one margin rule and one loop. The filter works on the midpoint-radius
 balls of Arb, doubles with a rigorous radius (Point.approx): a value
 (m, r) lies in [m - 4r, m + 4r], and two values are separated when those
-intervals are more than 1e-300 apart. That margin test (apart) and the
-radius of a sum or difference (sum_radius) are each written once:
-compare, Point.sign, floor_point and locate call apart, bisect_points
-calls compare, Point arithmetic, torus_locate and the builder's decoding
-grow their balls by sum_radius, and the cut of certified_clusters and
-cut_limit (the lambda sweep's pass bound) reads the margin's constants.
+intervals are more than 1e-300 apart. Each rule of the filter is one
+named definition here, and no other module holds a copy of its formula
+or its constants:
+  - apart, the margin test: compare, Point.sign, floor_point and locate
+    call it, bisect_points calls compare, and the cut of
+    certified_clusters and cut_limit (the lambda sweep's pass bound)
+    reads its constants;
+  - sum_radius, the radius of a sum or difference: Point arithmetic,
+    torus_locate and the builder's decoding grow their balls by it;
+  - scaled_balls, the balls of x * a/b for a run of b (scaled_approx for
+    one): Point.__mul__, and the lambda sweep's window ends and the
+    midpoints at which its blocks stop;
+  - combination_ball, the ball of sum_i n_i y_i / p that the lattice's
+    Points carry (LatticeSpec.point_of);
+  - scaled_edges and tuple_guard, the lattice kernel's window edges
+    scaled by p and its guard, whose absolute term is _GUARD_GAP.
 What the filter leaves open goes to escalate, the one precision-escalation
 loop: it tries a decision on exact enclosures at a start precision,
 doubles the precision up to the basis's precision_cap, and raises
@@ -36,7 +46,8 @@ orders by the cached float enclosures and sorts exactly only inside
 clusters whose enclosures cannot be separated (the cut of
 certified_clusters, which the lambda sweep uses too), and bisect_points
 decides each probe by compare. Never sort or bisect Points through
-__lt__.
+__lt__. extent reads a set's least and greatest points and its gap from
+one such sort.
 
 IntervalSet is the companion set type: a canonical finite union of open
 intervals with Point endpoints, supporting exact measure, translation,
@@ -70,6 +81,8 @@ DEFAULT_PRECISION_CAP = 1024
 # the margin of apart: a ball (m, r) stands for [m - 4r, m + 4r]; gap 1e-300
 _MARGIN_WIDTH = 4.0
 _MARGIN_GAP = 1e-300
+# the absolute term of the lattice kernel's guard (tuple_guard)
+_GUARD_GAP = 1e-280
 
 _SQUAREFREE_PRIME_BOUND = 10**6
 
@@ -316,6 +329,54 @@ def scaled_approx(approx: tuple[float, float], a: int, b: int) -> tuple[float, f
     Point.__mul__ uses it, so a value kept as x and a/b gets exactly the
     doubles that the Point x * a/b would carry."""
     return scaled_balls(approx, a, (b,))[0]
+
+
+def combination_ball(ns: Sequence[int], balls: Sequence[tuple[float, float]],
+                     p: int) -> tuple[float, float]:
+    """(midpoint, radius) of sum_i n_i y_i / p, for ints n_i and p > 0, from
+    the balls (m_i, r_i) of the y_i: each term is y_i scaled by n_i/p, its
+    radius grown as in scaled_balls, and the radius of the sum covers the
+    rounding of the terms and of their sum, and underflow."""
+    mid = rad = mag = 0.0
+    for n, (ym, yr) in zip(ns, balls):
+        if n:
+            qf = n / p
+            term = ym * qf
+            mid += term
+            mag += abs(term)
+            rad += (yr + abs(ym) * 1.2e-16) * abs(qf)
+    return mid, (rad + mag * (len(ns) + 2) * 2.3e-16) * 1.01 + 1e-300
+
+
+def scaled_edges(balls: Iterable[tuple[float, float]], p: int) -> tuple[list[float], float]:
+    """(images, err): the double m * float(p) of p * e for the ball (m, r)
+    of each edge e, and one bound err on |image - p * e| for them all: it
+    covers the radius times p, the conversion error |m| * |p - float(p)|
+    and the rounding of the product."""
+    pf = float(p)
+    p_err = float(abs(p - int(pf)))
+    images = []
+    err = 0.0
+    for m, r in balls:
+        f = m * pf
+        images.append(f)
+        err = max(err, r * pf + abs(m) * p_err + abs(f) * 2.3e-16)
+    return images, err
+
+
+def tuple_guard(balls: Sequence[tuple[float, float]], bounds: Sequence[int],
+                edge_err: float) -> float:
+    """The lattice kernel's guard: with a factor 2 to spare, a bound on
+    |s - p * value| for s = sum_i n_i m_i, summed in the kernel's order
+    from the balls (m_i, r_i) of the y_i, over every integer tuple with
+    |n_i| <= bounds[i], where value = sum_i n_i y_i / p; and on the
+    error edge_err of the edges' images (scaled_edges)."""
+    err_sum = mag_sum = 0.0
+    for (f, err), b in zip(balls, bounds):
+        err_sum += b * err
+        mag_sum += b * abs(f)
+    rounding = (len(balls) + 3) * 2.0**-53 * mag_sum
+    return (err_sum + rounding + edge_err) * 2.0 + _GUARD_GAP
 
 
 class Point:
@@ -594,6 +655,7 @@ def certified_clusters(apx: Sequence[tuple[float, float]], limit: float = math.i
     # the running maximum of the upper ends in that order: they are their
     # own running maximum when they ascend, as they do unless one interval
     # contains a later one; the test is cheaper than the maximum
+    # kept: they ascend in every call the benchmarks make, saving ~7% of a lambda sweep
     high = list(map(his.__getitem__, order))
     if not all(map(operator.le, high, islice(high, 1, None))):
         high = list(accumulate(high, max))
@@ -941,36 +1003,33 @@ class IntervalSet:
         return f"IntervalSet[{parts}]"
 
 
-def min_gap(points: Iterable[Point]) -> Point:
-    """Minimum pairwise distance of a finite Point set.
+def extent(points: Iterable[Point]) -> tuple[Point, Point, Point]:
+    """(least, greatest, gap) of a nonempty finite Point set, from one
+    exact sort.
 
-    For a singleton {x} the value is |x| (and x must be nonzero); for
-    larger sets it is the smallest difference of consecutive sorted
-    elements, which equals the minimum over all pairs.
+    gap is the smallest difference of consecutive sorted elements, which
+    equals the minimum pairwise distance; for a singleton {x} it is |x|,
+    so 0 for {0}. max |x| over the set is the larger of -least and
+    greatest.
     """
     pts = sort_points({p.key: p for p in points}.values())
     if not pts:
-        raise ValueError("min_gap of an empty set")
+        raise ValueError("extent of an empty set")
     if len(pts) == 1:
         x = pts[0]
-        if x.is_zero():
-            raise ValueError("min_gap of the singleton {0} is undefined")
-        return abs(x)
+        return x, x, abs(x)
     best = None
     for a, b in zip(pts, pts[1:]):
         gap = b - a
         if best is None or compare(gap, best) < 0:
             best = gap
-    return best
+    return pts[0], pts[-1], best
 
 
-def max_abs(points: Iterable[Point]) -> Point:
-    """max |x| over a nonempty finite Point set."""
-    best = None
-    for p in points:
-        v = abs(p)
-        if best is None or compare(v, best) > 0:
-            best = v
-    if best is None:
-        raise ValueError("max_abs of an empty set")
-    return best
+def min_gap(points: Iterable[Point]) -> Point:
+    """Minimum pairwise distance of a nonempty finite Point set, the gap
+    of extent: |x| for a singleton {x}, which must be nonzero."""
+    gap = extent(points)[2]
+    if gap.is_zero():
+        raise ValueError("min_gap of the singleton {0} is undefined")
+    return gap

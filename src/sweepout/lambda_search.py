@@ -213,25 +213,28 @@ def _run_ends(t: Point, m: int, d: int, n: int, k: int, j: int) -> list[_End]:
                                   repeat(d), bs)))
 
 
-def _block_stop(am: float, d: int, n: int, k: int, last: int, thr: float) -> int:
-    """The first j with k < j < last whose window's hi end has a midpoint
-    am * (d / (j d + n)) below thr, else last: the block reads windows k to
-    j - 1. The midpoints do not rise with j when am >= 0, and all lie
-    below a positive thr when am < 0, so those below thr are a suffix; it
-    is located from the real-valued estimate, then by the midpoints
-    themselves, exactly as the block's reads test them."""
+def _block_stop(apx: tuple[float, float], d: int, n: int, k: int, last: int,
+                thr: float) -> int:
+    """The first j with k < j < last whose window's hi end t * d/(j d + n)
+    has a midpoint below thr, else last: the block reads windows k to
+    j - 1. apx is t.approx(), and each midpoint is scaled_approx's, the
+    one its end carries. The midpoints do not rise with j when t's
+    midpoint am >= 0, and all lie below a positive thr when am < 0, so
+    those below thr are a suffix; it is located from the real-valued
+    estimate, then by the midpoints themselves, exactly as the block's
+    reads test them."""
     if thr == -math.inf:
         return last
-    est = (am * d / thr - n) / d  # the midpoint of window j is about thr at j = est
+    est = (apx[0] * d / thr - n) / d  # the midpoint of window j is about thr at j = est
     if not est < last - 1:  # also inf and nan
         j = last
     elif est < k:
         j = k + 1
     else:
         j = int(est) + 1
-    while j > k + 1 and am * (d / ((j - 1) * d + n)) < thr:
+    while j > k + 1 and scaled_approx(apx, d, (j - 1) * d + n)[0] < thr:
         j -= 1
-    while j < last and am * (d / (j * d + n)) >= thr:
+    while j < last and scaled_approx(apx, d, j * d + n)[0] >= thr:
         j += 1
     return j
 
@@ -351,7 +354,7 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
                 live.append(cur)
                 continue
             pending.append(hi)
-            j = _block_stop(t.approx()[0], d, n, k, min(k + _BLOCK_READS, k_end), thr)
+            j = _block_stop(t.approx(), d, n, k, min(k + _BLOCK_READS, k_end), thr)
             if j == k_end:  # the atom's last window: its lo end is clipped
                 pending += _run_ends(t, m, d, n, k, j - 1)
                 lo = _End(t, (d, k_end * d - n), -m)
@@ -683,13 +686,14 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
         })
 
 
-def frac_window_sets(lam: Fraction, eps: Fraction, x_l: Point,
-                     window_cap: int = DEFAULT_PIECE_CAP) -> tuple[IntervalSet, IntervalSet]:
+def frac_window_sets(lam: Fraction, eps: Fraction,
+                     x_l: Point) -> tuple[IntervalSet, IntervalSet]:
     """U and V for a rational lam as exact open IntervalSets.
 
     U collects the open windows (lam j, lam (j + eps)) inside (-x_l, 0);
     V the open windows (lam (j + eps), lam (j + 1)) inside (-x_l, x_l).
-    They are disjoint by construction.
+    They are disjoint by construction. More than DEFAULT_PIECE_CAP
+    windows raise CapExceeded.
     """
     lam = parse_fraction(lam)
     eps = parse_fraction(eps)
@@ -701,8 +705,8 @@ def frac_window_sets(lam: Fraction, eps: Fraction, x_l: Point,
     if x_l.sign() <= 0:
         raise ConfigError("x_l must be positive")
     span = floor_point(x_l * (1 / lam)) + 2
-    if 2 * span + 2 > window_cap:
-        raise CapExceeded(f"{2 * span + 2} windows exceed the cap {window_cap}")
+    if 2 * span + 2 > DEFAULT_PIECE_CAP:
+        raise CapExceeded(f"{2 * span + 2} windows exceed the cap {DEFAULT_PIECE_CAP}")
     zero = basis.rational(0)
     neg = -x_l
 

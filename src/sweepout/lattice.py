@@ -16,9 +16,11 @@ prefix of the integer tuple, the kernel classifies the last coordinate in
 blocks from float data, and only tuples whose value lands within a
 rigorous guard of an interval edge are re-decided with exact arithmetic,
 so every reported count is exact. The float data come from cached
-doubles: each y_i and its radius from Y[i].approx(), each edge from its
-approx() scaled by p, and the guard covers those radii, the error of
-float(p) and all rounding. The kernel reads the float edges sorted, so
+doubles, by rules that exactreal writes once: each y_i and its radius
+from Y[i].approx(), each edge from its approx() scaled by p
+(scaled_edges), and the guard (tuple_guard) covers those radii, the
+error of float(p) and all rounding. A tuple's Point (point_of) carries
+the ball of combination_ball. The kernel reads the float edges sorted, so
 edges that collide in doubles (a tie or a swap) go through it as usual:
 the guard keeps every tuple it decides on the same side of each exact
 edge. The shift closure's interval test runs
@@ -29,6 +31,7 @@ built as Points and compared exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -36,8 +39,9 @@ from typing import Sequence
 
 from . import kernel
 from .errors import CapExceeded, ConfigError
-from .exactreal import (GeneratorBasis, IntervalSet, Point, compare,
-                        escalate, fraction_str, sort_points)
+from .exactreal import (GeneratorBasis, IntervalSet, Point, combination_ball,
+                        compare, escalate, fraction_str, scaled_edges,
+                        sort_points, tuple_guard)
 
 DEFAULT_TUPLE_CAP = 10**7
 
@@ -123,28 +127,23 @@ class LatticeSpec:
         return out
 
     @cached_property
-    def _y_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, rows): Y[i].nums scaled to the common denominator D."""
+    def _y_cols(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, cols): cols[j][i] is Y[i].nums[j] scaled to the common
+        denominator D of the Y[i]."""
         d = math.lcm(*(y.den for y in self.Y))
-        return d, tuple(tuple(c * (d // y.den) for c in y.nums) for y in self.Y)
+        return d, tuple(zip(*(tuple(c * (d // y.den) for c in y.nums) for y in self.Y)))
+
+    @cached_property
+    def _y_balls(self) -> list[tuple[float, float]]:
+        return [y.approx() for y in self.Y]
 
     def point_of(self, tup: Sequence[int]) -> Point:
-        d, rows = self._y_rows
-        acc = [0] * self.basis.dim
-        mid = 0.0
-        rad = 0.0
-        mag = 0.0
-        for n, row, y in zip(tup, rows, self.Y):
-            if n:
-                acc = [a + n * c for a, c in zip(acc, row)]
-                ym, yr = y.approx()
-                qf = n / self.p
-                term = ym * qf
-                mid += term
-                mag += abs(term)
-                rad += (yr + abs(ym) * 1.2e-16) * abs(qf)
-        pt = Point(self.basis, tuple(acc), self.p * d)
-        pt._approx = (mid, (rad + mag * (len(tup) + 2) * 2.3e-16) * 1.01 + 1e-300)
+        """The Point sum_i tup[i] Y[i] / p, with the ball that
+        exactreal.combination_ball gives it."""
+        d, cols = self._y_cols
+        pt = Point(self.basis, tuple([sum(map(operator.mul, tup, col)) for col in cols]),
+                   self.p * d)
+        pt._approx = combination_ball(tup, self._y_balls, self.p)
         return pt
 
     def to_json(self):
@@ -229,40 +228,20 @@ def decompose(X: Sequence[Point]) -> LatticeSpec:
 def _filter_data(spec: LatticeSpec, window: IntervalSet, bounds: Sequence[int]):
     """(y_hat, edges, guard) for the kernel and the closure filter.
 
-    y_hat[i] and its radius come from the cached Y[i].approx(); each edge
-    is e.approx() scaled by p in floats, with an error term covering the
-    radius times p, the conversion error |m|*|p - float(p)| and the
-    product's rounding. guard is a rigorous bound on |float value -
+    y_hat[i] is the midpoint of the cached Y[i].approx(), edges are the
+    window's edges scaled by p in doubles (exactreal.scaled_edges), and
+    guard is exactreal.tuple_guard: a rigorous bound on |float value -
     p * exact value| for any tuple within bounds summed in the kernel's
-    order, and on |edge - p * exact edge|, each with a factor 2 to spare.
-    edges are sorted: where two edges collide in doubles, their float
-    images may tie or swap, and a value that clears both by more than
-    guard lies on the same side of each exact edge as of its double, so
-    its count of edges below is the same in either order.
+    order, and on |edge - p * exact edge|. edges are sorted: where two
+    edges collide in doubles, their float images may tie or swap, and a
+    value that clears both by more than guard lies on the same side of
+    each exact edge as of its double, so its count of edges below is the
+    same in either order.
     """
-    nu = spec.nu
-    y_hat = []
-    err_sum = 0.0
-    mag_sum = 0.0
-    for y, b in zip(spec.Y, bounds):
-        f, err = y.approx()
-        y_hat.append(f)
-        err_sum += b * err
-        mag_sum += b * abs(f)
-    p = spec.p
-    pf = float(p)
-    p_err = float(abs(p - int(pf)))
-    edges = []
-    edge_err = 0.0
-    for e in window.edge_points():
-        m, r = e.approx()
-        f = m * pf
-        edges.append(f)
-        edge_err = max(edge_err, r * pf + abs(m) * p_err + abs(f) * 2.3e-16)
-    rounding = (nu + 3) * 2.0**-53 * mag_sum
-    guard = (err_sum + rounding + edge_err) * 2.0 + 1e-280
+    balls = spec._y_balls
+    edges, edge_err = scaled_edges(map(Point.approx, window.edge_points()), spec.p)
     edges.sort()
-    return y_hat, edges, guard
+    return [m for m, _ in balls], edges, tuple_guard(balls, bounds, edge_err)
 
 
 def _classify(spec: LatticeSpec, m: int, window: IntervalSet, cap: int, collect: bool):

@@ -8,17 +8,38 @@ from sweepout.exactreal import GeneratorBasis
 from sweepout.measures import DiscreteMeasure, MeasureSequence
 
 
+# the tests that assert that the doubles decide: they fail with a filter
+# off, so no filter-off run may include them
+FILTER_ASSERTING_TESTS = (
+    "tests/test_exactreal.py::test_certified_clusters_cut_rule",
+    "tests/test_exactreal.py::test_cut_limit_passes_clusters_below_every_pair",
+    "tests/test_exactreal.py::test_torus_locate_bounds",
+    "tests/test_exactreal.py::test_locate_margin",
+    "tests/test_lambda_search.py::test_find_lambda_builds_few_points",
+)
+
+
 @pytest.fixture
 def filter_off(monkeypatch):
-    """Call it to turn the float filter of exactreal off for the rest of the
-    test. The margin gap of apart becomes 1e6: no two balls that the
-    package meets are then apart, every decision of exactreal goes exact,
-    and certified_clusters puts all the values it orders into one cluster.
+    """Call it to turn a float filter of exactreal off for the rest of the
+    test: filter_off() the margin test, filter_off("guard") the lattice
+    kernel's guard.
+
+    The margin gap of apart becomes 1e6: no two balls that the package
+    meets are then apart, every decision of exactreal goes exact, and
+    certified_clusters puts all the values it orders into one cluster.
     The gap stays finite: an infinite one would make cut_limit([]) inf - inf,
-    nan, so that the lambda sweep's last block would pass no end."""
-    def off():
-        monkeypatch.setattr(exactreal, "_MARGIN_GAP", 1e6)
-        assert not exactreal.apart(1.0, 0.0)
+    nan, so that the lambda sweep's last block would pass no end.
+
+    The guard's absolute term becomes 1e6: every tuple of a small level
+    lies within the guard of an edge, so the kernel returns every tuple as
+    uncertain and the lattice decides each one exactly. Large levels would
+    not finish."""
+    def off(which="margin"):
+        name = {"margin": "_MARGIN_GAP", "guard": "_GUARD_GAP"}[which]
+        monkeypatch.setattr(exactreal, name, 1e6)
+        if which == "margin":
+            assert not exactreal.apart(1.0, 0.0)
 
     return off
 

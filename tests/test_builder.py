@@ -12,7 +12,7 @@ from sweepout.builder import (EGPair, SweepOutWitness, build_eg,
                               select_subsequence, separation_check,
                               trim_witness, unique_sum_check, verify_witness)
 from sweepout.errors import (CapExceeded, GrowthExhausted, SequenceExhausted)
-from sweepout.exactreal import PointSet, compare, min_gap
+from sweepout.exactreal import PointSet, compare, extent, min_gap
 from sweepout.measures import DiscreteMeasure, MeasureSequence, convolve_indicator
 from tests.conftest import geometric_sequence, raises_config_error
 
@@ -139,9 +139,9 @@ def test_select_subsequence(geom_seq):
     assert len(sel.indices) == 2 and sel.indices[0] < sel.indices[1]
     a0 = sel.factors[0].points()
     a1 = sel.factors[1].points()
-    from sweepout.exactreal import max_abs
-
-    assert compare(max_abs(a1), min_gap(a0) * F(1, 4)) < 0
+    least, greatest, _ = extent(a1)  # max|a1| is the larger of -least and greatest
+    quarter = min_gap(a0) * F(1, 4)
+    assert compare(-least, quarter) < 0 and compare(greatest, quarter) < 0
 
 
 def test_select_single_factor(geom_seq):

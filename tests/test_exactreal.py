@@ -12,7 +12,7 @@ from sweepout import exactreal
 from sweepout.errors import PrecisionExhausted
 from sweepout.exactreal import (Generator, GeneratorBasis, IntervalSet, Point,
                                 PointSet, bisect_points, compare,
-                                decimal_enclosure_str, floor_point, min_gap,
+                                decimal_enclosure_str, extent, floor_point, min_gap,
                                 locate, parse_fraction, scaled_approx,
                                 sort_points, torus_locate)
 from tests.conftest import raises_config_error, raises_plain_value_error
@@ -862,6 +862,8 @@ def test_min_gap_exhaustive_oracle(values):
     brute = min(abs(a - b) for i, a in enumerate(values)
                 for b in values[i + 1:])
     assert g == brute
+    least, greatest, gap = extent(pts)  # the same one sort
+    assert [x.rational_value() for x in (least, greatest, gap)] == [min(values), max(values), g]
     for i, a in enumerate(values):
         for b in values[i + 1:]:
             assert g <= abs(a - b)
@@ -907,5 +909,5 @@ def test_bad_input_raises_config_error(surd_basis, rat_basis):
     raises_plain_value_error(compare, surd_basis.rational(0), other.rational(1))
     raises_plain_value_error(IntervalSet.canonicalize, rat_basis, [(1, 1)])
     raises_plain_value_error(min_gap, [])
-    raises_plain_value_error(exactreal.max_abs, [])
+    raises_plain_value_error(extent, [])
     raises_plain_value_error(surd_basis.point(["0", "1", "0"]).rational_value)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from sweepout.errors import CapExceeded, PrecisionExhausted
-from sweepout.exactreal import GeneratorBasis, IntervalSet, compare
+from sweepout.exactreal import GeneratorBasis, IntervalSet, compare, sort_points
 from sweepout import kernel
 from sweepout.lattice import (DEFAULT_TUPLE_CAP, ClosureCertificate,
                               CountReport, LatticeSpec, NuOneDensityError,
@@ -15,6 +15,7 @@ from sweepout.lattice import (DEFAULT_TUPLE_CAP, ClosureCertificate,
                               expected_cardinality, interval_count_ratio,
                               lattice_count, lattice_hits,
                               shift_closure_check)
+from sweepout.lambda_search import _block_stop
 from tests.conftest import raises_config_error, raises_plain_value_error
 
 
@@ -142,6 +143,27 @@ def test_count_matches_enumeration_oracle(surd_spec, surd_basis):
             hits = lattice_hits(surd_spec, m, window)
             assert len(hits) == oracle
             assert all(window.contains(p) for p in hits)
+
+
+def test_count_oracles_hold_with_guard_off(surd_spec, surd_basis, filter_off, monkeypatch):
+    # the guard only saves time: with every tuple decided exactly, the
+    # counts and hits still match the enumeration
+    filter_off("guard")
+    tuples = exact = 0
+    classify = kernel.classify_tuples
+
+    def counted(y_hat, bounds, edges, guard, collect):
+        nonlocal tuples, exact
+        got = classify(y_hat, bounds, edges, guard, collect)
+        tuples += math.prod(2 * b + 1 for b in bounds)
+        exact += len(got[2])
+        return got
+
+    monkeypatch.setattr(kernel, "classify_tuples", counted)
+    test_count_matches_enumeration_oracle(surd_spec, surd_basis)
+    test_count_adversarial_edges(surd_spec, surd_basis)
+    test_count_colliding_float_edges(surd_spec, surd_basis)
+    assert exact == tuples > 0
 
 
 def _random_surd_spec(rng):
@@ -525,6 +547,141 @@ def test_filter_guard_bounds_float_error():
             for n, y in zip(tup, spec.Y):
                 value = value + y * n
             assert _within(s, value.enclosure(256), guard)
+
+
+# ---------------------------------------------------------------------------
+# the enclosure rules that lattice and lambda_search read from exactreal
+# ---------------------------------------------------------------------------
+
+def _point_ball_formula(spec, tup):
+    """Reference copy of the ball of sum_i tup[i] Y[i] / p, in the order
+    of operations that exactreal.combination_ball must keep."""
+    mid = 0.0
+    rad = 0.0
+    mag = 0.0
+    for n, y in zip(tup, spec.Y):
+        if n:
+            ym, yr = y.approx()
+            qf = n / spec.p
+            term = ym * qf
+            mid += term
+            mag += abs(term)
+            rad += (yr + abs(ym) * 1.2e-16) * abs(qf)
+    return mid, (rad + mag * (len(tup) + 2) * 2.3e-16) * 1.01 + 1e-300
+
+
+def _filter_data_formula(spec, window, bounds):
+    """Reference copy of the kernel's float data, in the order of
+    operations that exactreal.scaled_edges and tuple_guard must keep."""
+    y_hat = []
+    err_sum = 0.0
+    mag_sum = 0.0
+    for y, b in zip(spec.Y, bounds):
+        f, err = y.approx()
+        y_hat.append(f)
+        err_sum += b * err
+        mag_sum += b * abs(f)
+    p = spec.p
+    pf = float(p)
+    p_err = float(abs(p - int(pf)))
+    edges = []
+    edge_err = 0.0
+    for e in window.edge_points():
+        m, r = e.approx()
+        f = m * pf
+        edges.append(f)
+        edge_err = max(edge_err, r * pf + abs(m) * p_err + abs(f) * 2.3e-16)
+    rounding = (spec.nu + 3) * 2.0**-53 * mag_sum
+    guard = (err_sum + rounding + edge_err) * 2.0 + 1e-280
+    edges.sort()
+    return y_hat, edges, guard
+
+
+def _block_stop_formula(am, d, n, k, last, thr):
+    """Reference copy of lambda_search._block_stop on the midpoints
+    am * (d / (j d + n)), the midpoints that exactreal.scaled_approx gives."""
+    if thr == -math.inf:
+        return last
+    est = (am * d / thr - n) / d
+    if not est < last - 1:
+        j = last
+    elif est < k:
+        j = k + 1
+    else:
+        j = int(est) + 1
+    while j > k + 1 and am * (d / ((j - 1) * d + n)) < thr:
+        j -= 1
+    while j < last and am * (d / (j * d + n)) >= thr:
+        j += 1
+    return j
+
+
+def _enclosure_cases(rng, rat_basis):
+    """Seeded specs: rational, surd (nu = 1, 2, 3) and p > 2^53, each also
+    with its support scaled by 4^-n, n up to 499 (about 2^-1000)."""
+    r2 = GeneratorBasis.from_specs(["sqrt:2", "sqrt:3"])
+    r3_4 = r2.point(["0", "0", "1/4"])
+    big = 10**17 + 3
+    supports = [[rat_basis.rational(q) for q in (F(1, 4), F(1, 3), F(5, 12))],
+                [r2.point(["0", "1/8", "0"]), r3_4 * F(big // 3, big), r3_4]]
+    supports += [list(_seeded_spec(rng, nu).X) for nu in (1, 2, 3, 3)]
+    specs = []
+    for support in supports:
+        for n in (0, 1, 9, 120, 350, 499):
+            specs.append(decompose([x * F(1, 4**n) for x in support]))
+    return specs
+
+
+def test_enclosure_rules_keep_their_doubles(rat_basis):
+    # point_of's ball, the kernel's (y_hat, edges, guard) and the lambda
+    # block stop read their doubles from exactreal's rules; every double is
+    # bit for bit the one of the reference formulas above
+    rng = random.Random(1017)
+    hexes = lambda values: [v.hex() for v in values]  # noqa: E731
+    stops = 0
+    for spec in _enclosure_cases(rng, rat_basis):
+        basis = spec.basis
+        for m in (1, 4):
+            bounds = spec.bounds(m)
+            tups = [tuple(rng.choice((-b, 0, b)) for b in bounds) for _ in range(4)]
+            tups += [tuple(rng.randint(-b, b) for b in bounds) for _ in range(16)]
+            pts = []
+            for tup in tups:
+                pt = spec.point_of(tup)
+                assert hexes(pt.approx()) == hexes(_point_ball_formula(spec, tup)), tup
+                pts.append(pt)
+            # edges on lattice points, on rationals, and with the balls of
+            # Point arithmetic; one window of two intervals
+            a, b, c, e = sort_points(rng.sample(pts, 4))
+            lo = spec.Y[0] * F(-1, 3) + spec.x_l * F(1, rng.randint(3, 9))
+            ivs = [[(a, b)], [(-spec.x_l, basis.rational(0))], [(-spec.x_l, spec.x_l)],
+                   [(lo, spec.x_l * F(2, 3))], [(a, b), (c, e)]]
+            for iv in ivs:
+                if any(compare(x, y) >= 0 for x, y in iv):
+                    continue
+                window = IntervalSet.canonicalize(basis, iv)
+                y_hat, edges, guard = _filter_data(spec, window, bounds)
+                want = _filter_data_formula(spec, window, bounds)
+                assert (hexes(y_hat), hexes(edges), guard.hex()) == (
+                    hexes(want[0]), hexes(want[1]), want[2].hex())
+        for t in spec.X:
+            apx = t.approx()
+            for n, d in ((3, 10), (1, 6), (1, 4), (2, 7)):
+                for _ in range(6):
+                    k = rng.choice((0, 1, 5, 40, 1000))
+                    last = k + rng.randint(1, 64)
+                    j = rng.randint(k, last)
+                    mid = apx[0] * (d / (j * d + n))
+                    for thr in (mid, math.nextafter(mid, math.inf),
+                                math.nextafter(mid, -math.inf), mid * rng.uniform(0.5, 2.0),
+                                apx[0] * 2.0, apx[0] * 1e-30, -math.inf):
+                        if not thr:  # the sweep turns a threshold of 0 into -inf
+                            continue
+                        for ball in (apx, (-apx[0], apx[1])):
+                            got = _block_stop(ball, d, n, k, last, thr)
+                            assert got == _block_stop_formula(ball[0], d, n, k, last, thr)
+                            stops += k + 1 < got < last
+    assert stops > 100  # the stop falls inside the block, not only at its ends
 
 
 def test_bad_input_raises_config_error(surd_spec, surd_basis, rat_basis):

@@ -1,5 +1,7 @@
-"""Repository hygiene checks; skipped outside a git checkout."""
+"""Repository hygiene checks; the one that reads git is skipped outside a
+git checkout."""
 
+import importlib
 import os
 import shutil
 import subprocess
@@ -25,3 +27,13 @@ def test_no_tracked_file_is_ignored():
     res = _git("ls-files", "-ci", "--exclude-standard")
     assert res.returncode == 0, res.stderr
     assert res.stdout == "", f"tracked files that .gitignore lists:\n{res.stdout}"
+
+
+def test_filter_asserting_tests_exist():
+    # the list that filter-off runs leave out names tests that exist
+    from tests.conftest import FILTER_ASSERTING_TESTS
+
+    for test_id in FILTER_ASSERTING_TESTS:
+        path, name = test_id.split("::")
+        module = importlib.import_module(path[:-len(".py")].replace("/", "."))
+        assert callable(getattr(module, name, None)), test_id
