@@ -26,8 +26,9 @@ or its constants:
   - sum_radius, the radius of a sum or difference: Point arithmetic,
     torus_locate and the builder's decoding grow their balls by it;
   - scaled_balls, the balls of x * a/b for a run of b (scaled_approx for
-    one): Point.__mul__, and the lambda sweep's window ends and the
-    midpoints at which its blocks stop;
+    one), whose midpoints are scaled_mid's: Point.__mul__, the lambda
+    sweep's window ends, and (scaled_mid alone) the midpoints at which its
+    blocks stop;
   - combination_ball, the ball of sum_i n_i y_i / p that the lattice's
     Points carry (LatticeSpec.point_of);
   - scaled_edges and tuple_guard, the lattice kernel's window edges
@@ -267,14 +268,19 @@ class GeneratorBasis:
     def rational(self, q) -> "Point":
         """The Point with value q (rational)."""
         if type(q) is int:
-            n, d = q, 1
-        else:
-            q = parse_fraction(q)
-            n, d = q.numerator, q.denominator
+            return self.ratio(q, 1)
+        q = parse_fraction(q)
+        return self.ratio(q.numerator, q.denominator)
+
+    def ratio(self, n: int, d: int) -> "Point":
+        """The Point with value n/d, for ints n and d > 0 in any terms. Its
+        ball is the double n / d, which int true division rounds correctly,
+        so it is the same for every form of the fraction, and sum_radius's
+        radius of an exact midpoint. Point reduces the coefficient."""
         m = n / d
-        if self._unit is not None:
-            c0 = Fraction(n, d) / self._unit
-            n, d = c0.numerator, c0.denominator
+        unit = self._unit
+        if unit is not None:  # the coefficient is n/d over the unit, which is positive
+            n, d = n * unit.denominator, d * unit.numerator
         out = Point(self, (n,) + self._zeros, d)
         out._approx = (m, sum_radius(m, 0.0, 0.0))
         return out
@@ -309,17 +315,25 @@ def sum_radius(m: float, ar: float, br: float) -> float:
     return (ar + br) * 1.01 + abs(m) * 2.3e-16 + 1e-300
 
 
+def scaled_mid(approx: tuple[float, float], a: int, b: int) -> float:
+    """The midpoint of x * a/b from x's (midpoint, radius): x's midpoint
+    times the double a / b."""
+    return approx[0] * (a / b)
+
+
 def scaled_balls(approx: tuple[float, float], a: int, bs) -> list[tuple[float, float]]:
     """(midpoint, radius) of x * a/b for each b of bs, from those of x: the
-    radius grows to cover x's radius, the rounding of a/b and of the
-    product, and underflow. A run of ratios with one numerator takes one
-    pass over doubles."""
+    midpoint is scaled_mid's, and the radius grows to cover x's radius, the
+    rounding of a/b and of the product, and underflow. A run of ratios with
+    one numerator takes one pass over doubles, with scaled_mid's product
+    written out in the loop: a call per ratio would slow the lambda
+    sweep's runs of window ends."""
     am, ar = approx
     grow = ar + abs(am) * 1.2e-16
     out = []
     for b in bs:
         qf = a / b
-        m = am * qf
+        m = am * qf  # scaled_mid(approx, a, b)
         out.append((m, grow * abs(qf) * 1.01 + abs(m) * 1.2e-16 + 1e-300))
     return out
 
@@ -852,17 +866,21 @@ class PointSet:
 class IntervalSet:
     """Canonical finite union of disjoint open intervals with Point endpoints.
 
-    Construct through canonicalize(); instances are immutable. Endpoint
-    membership is always false (open intervals throughout).
+    Construct through canonicalize(), which sorts and merges; a caller
+    whose intervals are already sorted, disjoint and each nonempty may
+    pass them to the constructor directly (frac_window_sets does).
+    Instances are immutable. Endpoint membership is always false (open
+    intervals throughout).
     """
 
-    __slots__ = ("basis", "intervals", "_los", "_edges", "_apx")
+    __slots__ = ("basis", "intervals", "_los", "_edges", "_apx", "_scaled")
 
     def __init__(self, basis: GeneratorBasis, intervals: tuple[tuple[Point, Point], ...]):
         self.basis = basis
         self.intervals = intervals
         self._los = [lo for lo, _ in intervals]
         self._edges = self._apx = None  # built by the first contains_torus
+        self._scaled = None  # (p, the lattice kernel's edges, their error): lattice._filter_data
 
     @classmethod
     def canonicalize(cls, basis: GeneratorBasis, raw) -> "IntervalSet":

@@ -42,13 +42,14 @@ integral, which the averaging bound needs, is certified per atom as
 sum_i m_i |W_i cap (floor, r]|, W_i the windows of atom i, without
 building any piece.
 
-frac_window_sets materializes, for a fixed rational lam, the sets
+frac_window_sets builds, for a fixed rational lam, the sets
 
     U = { t in (-x_l, 0)   : frac(t/lam) < eps }
     V = { t in (-x_l, x_l) : frac(t/lam) > eps }
 
 as exact open IntervalSets (window endpoints that are multiples of lam
-are dropped; they carry no measure and keep every set open).
+are dropped; they carry no measure and keep every set open), in one
+ascending pass over window ends that are ints over one denominator.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .errors import CapExceeded, ConfigError, LambdaNotFound
 from .exactreal import (IntervalSet, Point, certified_clusters, compare,
                         cut_limit, decimal_enclosure_str, escalate,
                         floor_point, fraction_str, parse_fraction,
-                        scaled_approx, scaled_balls)
+                        scaled_approx, scaled_balls, scaled_mid)
 from .measures import DiscreteMeasure
 
 DEFAULT_FLOOR_SCALE = 10**4
@@ -217,7 +218,7 @@ def _block_stop(apx: tuple[float, float], d: int, n: int, k: int, last: int,
                 thr: float) -> int:
     """The first j with k < j < last whose window's hi end t * d/(j d + n)
     has a midpoint below thr, else last: the block reads windows k to
-    j - 1. apx is t.approx(), and each midpoint is scaled_approx's, the
+    j - 1. apx is t.approx(), and each midpoint is scaled_mid's, the
     one its end carries. The midpoints do not rise with j when t's
     midpoint am >= 0, and all lie below a positive thr when am < 0, so
     those below thr are a suffix; it is located from the real-valued
@@ -232,9 +233,9 @@ def _block_stop(apx: tuple[float, float], d: int, n: int, k: int, last: int,
         j = k + 1
     else:
         j = int(est) + 1
-    while j > k + 1 and scaled_approx(apx, d, (j - 1) * d + n)[0] < thr:
+    while j > k + 1 and scaled_mid(apx, d, (j - 1) * d + n) < thr:
         j -= 1
-    while j < last and scaled_approx(apx, d, j * d + n)[0] >= thr:
+    while j < last and scaled_mid(apx, d, j * d + n) >= thr:
         j += 1
     return j
 
@@ -694,6 +695,16 @@ def frac_window_sets(lam: Fraction, eps: Fraction,
     V the open windows (lam (j + eps), lam (j + 1)) inside (-x_l, x_l).
     They are disjoint by construction. More than DEFAULT_PIECE_CAP
     windows raise CapExceeded.
+
+    One ascending pass builds both. For lam = p/q and eps = a/b every
+    window end is n/(q b) for an int n, and its Point comes from (n, q b)
+    (GeneratorBasis.ratio). With k = floor(x_l/lam), the windows inside
+    [-lam k, lam k] are whole; only the windows of j = -k - 1 and of
+    j = k, which meet -x_l and x_l, are compared with them (an end that
+    ties with the bound is kept), and the windows beyond are never built.
+    U's hi end is the next V window's lo and V's hi the next U window's
+    lo: each is one Point. The windows come sorted and disjoint, so the
+    sets are built directly, with no canonicalize.
     """
     lam = parse_fraction(lam)
     eps = parse_fraction(eps)
@@ -704,31 +715,29 @@ def frac_window_sets(lam: Fraction, eps: Fraction,
     basis = x_l.basis
     if x_l.sign() <= 0:
         raise ConfigError("x_l must be positive")
-    span = floor_point(x_l * (1 / lam)) + 2
+    k = floor_point(x_l * (1 / lam))
+    span = k + 2
     if 2 * span + 2 > DEFAULT_PIECE_CAP:
         raise CapExceeded(f"{2 * span + 2} windows exceed the cap {DEFAULT_PIECE_CAP}")
-    zero = basis.rational(0)
+    den = lam.denominator * eps.denominator
+    step = lam.numerator * eps.denominator  # lam j = step j / den
+    shift = lam.numerator * eps.numerator  # lam (j + eps) = (step j + shift) / den
+    # lam j and lam (j + eps) for -k <= j < k, then lam k, ascending
+    nums = [0] * (4 * k + 1)
+    nums[::2] = range(-k * step, (k + 1) * step, step)
+    nums[1::2] = range(shift - k * step, shift + k * step, step)
+    ends = list(map(basis.ratio, nums, repeat(den)))
+    # the windows of j = -k - 1 meet -x_l in (-lam (k + 1), -lam k]: U's is
+    # (-x_l, low), V's (low, -lam k) or (-x_l, -lam k)
     neg = -x_l
-
-    def clipped(a: Fraction, b: Fraction, lo: Point, hi: Point):
-        pa, pb = basis.rational(a), basis.rational(b)
-        la = pa if compare(pa, lo) >= 0 else lo
-        hb = pb if compare(pb, hi) <= 0 else hi
-        if compare(la, hb) < 0:
-            return la, hb
-        return None
-
-    u_parts = []
-    v_parts = []
-    for j in range(-span, span + 1):
-        # a window with j >= 0 starts at or above 0: nothing of it is in U
-        if j < 0:
-            u = clipped(lam * j, lam * (j + eps), neg, zero)
-            if u:
-                u_parts.append(u)
-        v = clipped(lam * (j + eps), lam * (j + 1), neg, x_l)
-        if v:
-            v_parts.append(v)
-    U = IntervalSet.canonicalize(basis, u_parts) if u_parts else IntervalSet.empty(basis)
-    V = IntervalSet.canonicalize(basis, v_parts) if v_parts else IntervalSet.empty(basis)
-    return U, V
+    low = basis.ratio(shift - (k + 1) * step, den)  # lam (eps - k - 1)
+    side = compare(low, neg)
+    u = [(neg, low)] if side > 0 else []
+    v = ([(low, ends[0])] if side >= 0 else
+         [(neg, ends[0])] if compare(neg, ends[0]) < 0 else [])
+    u += zip(ends[:2 * k:2], ends[1:2 * k:2])
+    v += zip(ends[1::2], ends[2::2])
+    high = basis.ratio(shift + k * step, den)  # lam (k + eps); x_l < lam (k + 1)
+    if compare(high, x_l) < 0:
+        v.append((high, x_l))
+    return IntervalSet(basis, tuple(u)), IntervalSet(basis, tuple(v))

@@ -236,11 +236,17 @@ def _filter_data(spec: LatticeSpec, window: IntervalSet, bounds: Sequence[int]):
     edges collide in doubles, their float images may tie or swap, and a
     value that clears both by more than guard lies on the same side of
     each exact edge as of its double, so its count of edges below is the
-    same in either order.
+    same in either order. The edges and their error are kept on the
+    window with their p, so that build_eg, which reads one window at
+    every level, scales them once; no caller may change the list.
     """
     balls = spec._y_balls
-    edges, edge_err = scaled_edges(map(Point.approx, window.edge_points()), spec.p)
-    edges.sort()
+    got = window._scaled
+    if got is None or got[0] != spec.p:
+        edges, edge_err = scaled_edges(map(Point.approx, window.edge_points()), spec.p)
+        edges.sort()
+        got = window._scaled = (spec.p, edges, edge_err)
+    _, edges, edge_err = got
     return [m for m, _ in balls], edges, tuple_guard(balls, bounds, edge_err)
 
 

@@ -302,6 +302,14 @@ def test_golden_artifact_digests(tmp_path):
         assert got == digest, name
 
 
+def test_golden_artifact_digests_with_filter_off(tmp_path, filter_off):
+    # find-lambda, build-eg, build-witness and verify in all three modes
+    # with apart's margin off, so that every decision is exact: the same
+    # artifacts
+    filter_off()
+    test_golden_artifact_digests(tmp_path)
+
+
 # sha256 of the nine artifacts the eight CLI commands write on
 # configs/demo.json (the reports are left out, as above)
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"

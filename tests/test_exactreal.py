@@ -402,6 +402,30 @@ def test_scaled_approx_covers_its_input_enclosure():
     assert (p * F(5, 11))._approx == scaled_approx(apx, 5, 11)
 
 
+def test_scaled_balls_midpoints_are_scaled_mid():
+    # the run formula writes scaled_mid's product out; bit for bit the same
+    rng = random.Random(18)
+    for _ in range(400):
+        apx = (rng.uniform(-4.0, 4.0) * 2.0 ** rng.randint(-1000, 60), rng.uniform(0, 1e-12))
+        a = rng.randint(-10**6, 10**6)
+        bs = [rng.randint(1, 10**18) for _ in range(rng.randint(1, 9))]
+        assert [m.hex() for m, _ in exactreal.scaled_balls(apx, a, bs)] == [
+            exactreal.scaled_mid(apx, a, b).hex() for b in bs]
+
+
+def test_ratio_in_any_terms_is_the_rational_point():
+    # n/d unreduced gives the Point, key and ball, of the reduced fraction,
+    # also over a basis whose unit generator is 1/3
+    rng = random.Random(19)
+    for basis in (GeneratorBasis.rationals(), GeneratorBasis.from_specs(["rat:1/3", "sqrt:5"])):
+        for _ in range(300):
+            n, d = rng.randint(-10**30, 10**30), rng.randint(1, 10**30)
+            g = rng.choice((1, 2, 3, 10**40 + 7))
+            got, want = basis.ratio(n * g, d * g), basis.rational(F(n, d))
+            assert got.key == want.key and got.rational_value() == F(n, d)
+            assert [x.hex() for x in got._approx] == [x.hex() for x in want._approx]
+
+
 @given(st.sampled_from(_ORACLE_BASES), st.data())
 @settings(max_examples=60, deadline=None)
 def test_point_ints_match_fraction_oracle_hypothesis(basis, data):

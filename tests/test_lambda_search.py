@@ -8,7 +8,8 @@ import pytest
 
 from sweepout import lambda_search
 from sweepout.errors import CapExceeded, LambdaNotFound
-from sweepout.exactreal import GeneratorBasis, Point, compare, fraction_str
+from sweepout.exactreal import (GeneratorBasis, IntervalSet, Point, compare,
+                               floor_point, fraction_str)
 from sweepout.lambda_search import (LambdaResult, WindowConstraints, _End,
                                     _mass_units, _rational_inside, _run_ends,
                                     _sweep, _window, _window_range, _windows,
@@ -144,6 +145,107 @@ def test_windows_disjoint_randomized(surd_basis, root3_over4):
             assert compare(hi, zero) <= 0
         for lo, hi in V:
             assert compare(abs(lo), root3_over4) <= 0
+
+
+def _clipped_window_sets(lam, eps, x_l):
+    """Reference copy of frac_window_sets as it clipped every window against
+    both bounds and canonicalized: each end a Point of a Fraction product."""
+    basis = x_l.basis
+    span = floor_point(x_l * (1 / lam)) + 2
+    if 2 * span + 2 > lambda_search.DEFAULT_PIECE_CAP:
+        raise CapExceeded("cap")
+    zero = basis.rational(0)
+    neg = -x_l
+
+    def clipped(a, b, lo, hi):
+        pa, pb = basis.rational(a), basis.rational(b)
+        la = pa if compare(pa, lo) >= 0 else lo
+        hb = pb if compare(pb, hi) <= 0 else hi
+        return (la, hb) if compare(la, hb) < 0 else None
+
+    u_parts, v_parts = [], []
+    for j in range(-span, span + 1):
+        if j < 0:
+            u = clipped(lam * j, lam * (j + eps), neg, zero)
+            if u:
+                u_parts.append(u)
+        v = clipped(lam * (j + eps), lam * (j + 1), neg, x_l)
+        if v:
+            v_parts.append(v)
+    U = IntervalSet.canonicalize(basis, u_parts) if u_parts else IntervalSet.empty(basis)
+    V = IntervalSet.canonicalize(basis, v_parts) if v_parts else IntervalSet.empty(basis)
+    return U, V
+
+
+def _window_set_cases(rng):
+    """Seeded (lam, eps, x_l factory) triples: x_l a multiple of lam, x_l
+    or -x_l on a window end lam (j + eps), x_l below lam, rational at
+    random, surd, and over a basis whose unit generator is 1/3."""
+    r2 = GeneratorBasis.from_specs(["sqrt:2", "sqrt:3"])
+    third = GeneratorBasis.from_specs(["rat:1/3", "sqrt:5"])
+    rat = GeneratorBasis.rationals()
+    for basis in (rat, r2, third):
+        for _ in range(12):
+            lam = F(rng.randint(1, 400), rng.randint(1, 1000))
+            eps = F(rng.randint(1, 32), 100)
+            k = rng.randint(0, 9)
+            values = [lam * rng.randint(1, 9),  # a multiple of lam
+                      lam * (k + eps),  # on lam (k + eps)
+                      lam * (k + 1 - eps),  # -x_l on lam (eps - k - 1)
+                      lam * F(rng.randint(1, 99), 100),  # below lam: k = 0
+                      lam * F(rng.randint(1, 999), rng.randint(1, 99))]
+            for q in values:
+                yield lam, eps, (lambda q=q, basis=basis: basis.rational(q))
+            if basis is rat:
+                continue
+            c = [F(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(basis.dim - 1)]
+            c0 = 4 + sum(abs(x) for x in c) * 3  # keeps x_l positive
+            yield lam, eps, lambda basis=basis, c=c, c0=c0: basis.point([c0, *c])
+            yield lam, eps, lambda basis=basis, c=c, c0=c0: basis.point([c0, *c]) * lam
+
+
+def _window_set_prints(U, V):
+    """Each end's key and ball (float.hex), per set, and both measures."""
+    def ends(S):
+        return [(p.key, tuple(x.hex() for x in p._approx) if p._approx else None)
+                for iv in S for p in iv]
+    return ends(U), ends(V), U.measure().key, V.measure().key
+
+
+def test_frac_window_sets_match_clipped_oracle(monkeypatch):
+    # the ordered pass gives the sets of the clip-and-canonicalize build,
+    # end for end: the same Point keys, the same balls, the same measures
+    rng = random.Random(1018)
+    calls = shared = 0
+    for lam, eps, x_l in _window_set_cases(rng):
+        want = _clipped_window_sets(lam, eps, x_l())
+        U, V = frac_window_sets(lam, eps, x_l())
+        assert _window_set_prints(U, V) == _window_set_prints(*want), (lam, eps, x_l())
+        # U's hi ends are V's lo ends, and V's hi ends U's lo ends: one Point
+        v_los = {id(lo) for lo, _ in V}
+        v_his = {id(hi) for _, hi in V}
+        assert all(id(hi) in v_los for _, hi in U)
+        shared += sum(id(lo) in v_his for lo, _ in U)
+        calls += 1
+    assert calls == 228 and shared > 1000, (calls, shared)
+    # the cap falls at the same x_l: 2 (floor(x_l/lam) + 2) + 2 windows
+    monkeypatch.setattr(lambda_search, "DEFAULT_PIECE_CAP", 40)
+    basis = GeneratorBasis.from_specs(["sqrt:2"])
+    lam, eps = F(1, 10), F(1, 4)
+    raised = 0
+    for x_l in [basis.rational(F(n, 100)) for n in range(160, 200)] + [
+            basis.point([F(n, 100), F(1, 1000)]) for n in range(160, 200)]:
+        try:
+            want = _window_set_prints(*_clipped_window_sets(lam, eps, x_l))
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                frac_window_sets(lam, eps, x_l)
+            raised += 1
+        else:
+            assert _window_set_prints(*frac_window_sets(lam, eps, x_l)) == want
+    assert raised == 40  # from x_l = 1.8, k = 18
+    with pytest.raises(CapExceeded, match="42 windows exceed the cap 40"):
+        frac_window_sets(lam, eps, basis.rational(F(18, 10)))
 
 
 # ---------------------------------------------------------------------------

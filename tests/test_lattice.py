@@ -684,6 +684,33 @@ def test_enclosure_rules_keep_their_doubles(rat_basis):
     assert stops > 100  # the stop falls inside the block, not only at its ends
 
 
+def test_filter_data_scales_each_window_once_per_p(rat_basis):
+    # one window read at several levels, then by a spec of another p: its
+    # edges are scaled once per run of reads with one p, and every read
+    # gives the reference doubles
+    rng = random.Random(1018)
+    hexes = lambda values: [v.hex() for v in values]  # noqa: E731
+    rescaled = 0
+    for spec in _enclosure_cases(rng, rat_basis):
+        # a support over the same basis, with p the same or three times it
+        other = decompose(list(spec.X[1:]) + [spec.X[0] * F(2, 3)])
+        x_l = spec.x_l
+        window = IntervalSet.canonicalize(spec.basis, [(-x_l, x_l * F(-1, 3)), (x_l * F(1, 5), x_l)])
+        kept = []
+        for reader in (spec, other, spec):
+            for m in (1, 2, 5):
+                bounds = reader.bounds(m)
+                got = _filter_data(reader, window, bounds)
+                want = _filter_data_formula(reader, window, bounds)
+                assert (hexes(got[0]), hexes(got[1]), got[2].hex()) == (
+                    hexes(want[0]), hexes(want[1]), want[2].hex())
+                if not kept or kept[-1] is not got[1]:
+                    kept.append(got[1])
+        assert len(kept) == (3 if other.p != spec.p else 1)
+        rescaled += len(kept) == 3
+    assert rescaled >= 12
+
+
 def test_bad_input_raises_config_error(surd_spec, surd_basis, rat_basis):
     import dataclasses
 
