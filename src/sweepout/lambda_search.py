@@ -9,9 +9,11 @@ windows (x_i/(k+1-eps), x_i/(k+eps)), k = 0, 1, 2, ...  Averaging over
 lam in (0, r], r = min(eps*x_1 / (2(1-eps)), delta), the mean value
 exceeds (1 - 3 eps) * |mu|, so some piece must too.
 
-One top-down sweep walks that step function from r to a floor and yields
-its pieces (lo, hi, value) by decreasing lam. The sweep reads the window
-ends in blocks, below double thresholds r * 0.9^j: for each atom t, the
+One top-down sweep walks that step function from r to a floor and hands
+out its pieces by decreasing lam, a block at a time: the lists (los, his,
+values) of the pieces whose ends one block read passes, the values one
+accumulate over the ends' step changes. The sweep reads the window ends
+in blocks, below double thresholds r * 0.9^j: for each atom t, the
 block's windows are one run of doubles, the balls (midpoint, radius) of
 the ends t * a/b computed in one pass from t.approx() in the order of
 operations of exactreal.scaled_approx, so that each is bit for bit the
@@ -32,15 +34,20 @@ denominators.
 find_lambda probes the pieces of full mass |mu| as the sweep meets them.
 No piece exceeds |mu|, so these come first in its order (value, then
 lam, descending) and the search usually stops near r; only a sweep that
-reaches the floor ranks the other qualifying pieces. The chosen lam is a
-rational strictly inside its piece, re-checked by direct evaluation.
+reaches the floor ranks the other qualifying pieces. It reads each block
+whole: a block whose values are all settled (not above the threshold, or
+with a full group of ranked pieces) is passed over by C-level set and
+max passes, and Python meets only the positions it probes or ranks. The
+chosen lam is a rational strictly inside its piece, re-checked by direct
+evaluation.
 
 lambda_profile describes the step function on (r/floor_scale, r]. Its
 arrangement (pieces) is built from the same sweep when first read; its
 CSV rows and piece count are read from the ends, without Points. Its
 integral, which the averaging bound needs, is certified per atom as
 sum_i m_i |W_i cap (floor, r]|, W_i the windows of atom i, without
-building any piece.
+building any piece; the atoms' sums over their windows in between are
+read from one table of prefix sums.
 
 frac_window_sets builds, for a fixed rational lam, the sets
 
@@ -55,12 +62,12 @@ ascending pass over window ends that are ints over one denominator.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, partial
-from itertools import cycle, repeat
-from operator import itemgetter
+from itertools import accumulate, compress, count, cycle, repeat
+from operator import floordiv, itemgetter, mul, not_
 
 from .errors import CapExceeded, ConfigError, LambdaNotFound
 from .exactreal import (IntervalSet, Point, certified_clusters, compare,
@@ -146,7 +153,8 @@ def _window_range(t: Point, eps: Fraction, r: Point, lam_floor: Point) -> tuple[
     return k0, k_end
 
 
-_BALL = itemgetter(0)  # an _End's ball, for C-level passes over many ends
+# an _End's ball, step change and opens, for C-level passes over many ends
+_BALL, _DM, _OPENS = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class _End(tuple):
@@ -174,7 +182,7 @@ class _End(tuple):
         a, b = q  # t * -a/b: the ball of the negated end
         return tuple.__new__(cls, (scaled_approx(t.approx(), -a, b), dm, 0, t, a, b))
 
-    dm = property(itemgetter(1))
+    dm = property(_DM)
     t = property(itemgetter(3))
 
     @property
@@ -204,14 +212,14 @@ def _run_ends(t: Point, m: int, d: int, n: int, k: int, j: int) -> list[_End]:
     in units of 1/D. Every lo end opens a window. Each end is t * d/b, b
     its position's denominator; the balls of the negated ends t * -d/b
     come from t.approx() in one pass (scaled_balls)."""
-    count = j - k
+    reads = j - k
     lo = (k + 1) * d - n  # the lo end of window w is t * d/((w + 1) d - n)
-    bs = [0] * (2 * count)
-    bs[::2] = range(lo, lo + count * d, d)
-    bs[1::2] = range(lo + 2 * n, lo + 2 * n + count * d, d)  # hi: t * d/(w d + n)
+    bs = [0] * (2 * reads)
+    bs[::2] = range(lo, lo + reads * d, d)
+    bs[1::2] = range(lo + 2 * n, lo + 2 * n + reads * d, d)  # hi: t * d/(w d + n)
     balls = scaled_balls(t.approx(), -d, bs)
-    return list(map(_new_end, zip(balls, cycle((-m, m)), cycle((1, 0)), repeat(t),
-                                  repeat(d), bs)))
+    return list(map(tuple.__new__, repeat(_End),
+                    zip(balls, cycle((-m, m)), cycle((1, 0)), repeat(t), repeat(d), bs)))
 
 
 def _block_stop(apx: tuple[float, float], d: int, n: int, k: int, last: int,
@@ -300,12 +308,17 @@ _BLOCK_READS = 64  # windows that one atom may read in one block
 
 def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
            windows, piece_cap: int):
-    """The pieces (lo, hi, value) of the step function on (lam_floor, r],
-    from r down: lo and hi are _Ends, value is in units of 1/D (see
-    _mass_units). Equal window ends are merged (see _merged). Raises
-    CapExceeded once more than piece_cap windows have been entered: each
-    atom's first window at the start, and the next one each time the
-    sweep passes the lo end of a window.
+    """The pieces of the step function on (lam_floor, r], from r down, in
+    blocks (los, his, values): three lists, piece i being (los[i], his[i],
+    values[i]), lo and hi _Ends and the value in units of 1/D (see
+    _mass_units). A block holds the pieces of the ends that one block read
+    passes; the values are one accumulate over their step changes, and
+    his[i + 1] is los[i]. Equal window ends are merged (see _merged).
+    Raises CapExceeded once more than piece_cap windows have been entered:
+    each atom's first window at the start, and the next one each time the
+    sweep passes the lo end of a window (one sum over the opens of a
+    block's ends). If the cap falls inside a block, the pieces before the
+    end that exceeds it are yielded first.
 
     The ends are read in blocks below thresholds thr = r * 0.9^j, doubles:
     each atom reads its windows while the midpoint of its next hi end is
@@ -382,17 +395,53 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
             ends, _ = _descending(pending, ())
             cut = bisect_left(ends, True, key=lambda e: compare(e.pt, unread) <= 0)
             passed, pending = ends[:cut], ends[cut:]
-        for end in passed:
-            if end[2]:  # opens
-                budget -= end[2]
-                if budget < 0:
-                    raise CapExceeded(f"profile needs more than {piece_cap} pieces")
-            if above is not None:
-                yield end, above, value
-            value += end[1]  # dm
-            above = end
+        opens = sum(map(_OPENS, passed))
+        capped_here = opens > budget
+        if capped_here:  # the cap falls inside the block: keep the ends above it
+            passed = passed[:bisect_right(list(accumulate(map(_OPENS, passed))), budget)]
+        budget -= opens
+        if passed:
+            # each end passed is the lo end of a piece whose hi end is the
+            # end before it, with the value above that end
+            vals = list(accumulate(map(_DM, passed), initial=value))
+            value = vals.pop()
+            his = passed[:-1]
+            if above is None:  # r, the first end, is no piece's lo end
+                del vals[0]
+                los = passed[1:]
+            else:
+                his.insert(0, above)
+                los = passed
+            above = passed[-1]
+            if vals:
+                yield los, his, vals
+        if capped_here:
+            raise CapExceeded(f"profile needs more than {piece_cap} pieces")
         if not cursors:  # the floor was the last end: nothing is left
             return
+
+
+def _window_sums(num: int, n: int, d: int, ranges: list[tuple[int, int]]) -> list[int]:
+    """For each range (a, b), the sum of num // ((k d + n)((k + 1) d - n))
+    over a <= k < b (0 when a >= b), read as the difference of two entries
+    of one table of prefix sums, so that no term is divided twice. The
+    table runs from the least a to the greatest b of the nonempty ranges.
+    Atom t's windows in between run from about t/r to t F/r, F the floor
+    scale, so that span exceeds the largest atom's range, and so the
+    ranges' union, by a factor of at most about F/(F - 1)."""
+    nonempty = [(a, b) for a, b in ranges if a < b]
+    if not nonempty:
+        return [0] * len(ranges)
+    lo = min(a for a, _ in nonempty)
+    hi = max(b for _, b in nonempty)
+    table = list(accumulate(map(floordiv, repeat(num),
+                                map(mul, range(lo * d + n, hi * d + n, d),
+                                    range((lo + 1) * d - n, (hi + 1) * d - n, d))),
+                            initial=0))
+    return [table[b - lo] - table[a - lo] if a < b else 0 for a, b in ranges]
+
+
+_HI, _VALUE = itemgetter(1), itemgetter(2)  # a piece's hi end and value
 
 
 @dataclass(eq=False)
@@ -401,9 +450,12 @@ class LambdaProfile:
 
     pieces, its arrangement, is built on first read: consecutive
     (lo, hi, value) with exact Point endpoints that partition
-    (lam_floor, r], ascending. piece_count and csv_rows read the same
-    sweep's ends as doubles and build no Point. Reading any of them raises
-    CapExceeded when more than piece_cap windows meet that range. Pieces
+    (lam_floor, r], ascending. The sweep's blocks are kept as its ends
+    (_ends), extended from each block's zip; piece_count and csv_rows
+    read them as doubles and build no Point, and csv_rows prints each
+    end's midpoint once, as the hi end of one row and the lo of the
+    next. Reading any of them raises CapExceeded when more than
+    piece_cap windows meet that range. Pieces
     below lam_floor are discarded (the atom windows accumulate to 0
     there), so the integral is a certified lower bound for the full
     integral over (0, r].
@@ -425,23 +477,29 @@ class LambdaProfile:
         """The arrangement as (lo, hi, value in units of 1/D), ascending."""
         if sum(k_end - k0 for k0, k_end in self.windows) > self.piece_cap:
             raise CapExceeded(f"profile needs more than {self.piece_cap} pieces")
-        ends = list(_sweep(self.mu, self.eps, self.r, self.lam_floor,
-                           self.windows, self.piece_cap))
+        ends = []
+        for block in _sweep(self.mu, self.eps, self.r, self.lam_floor,
+                            self.windows, self.piece_cap):
+            ends += zip(*block)
         ends.reverse()
         return ends
 
     def _values(self) -> dict[int, Fraction]:
         """Each value of the arrangement, in units of 1/D, as a Fraction."""
         denom = _mass_units(self.mu)[0]
-        return {v: Fraction(v, denom) for v in {v for _, _, v in self._ends}}
+        return {v: Fraction(v, denom) for v in set(map(_VALUE, self._ends))}
+
+    def _bounds(self) -> list[_End]:
+        """The ends of the pieces, ascending: each piece's hi end is the
+        next piece's lo end, one object."""
+        ends = self._ends
+        return [lo for lo, _, _ in ends[:1]] + list(map(_HI, ends))
 
     @cached_property
     def pieces(self) -> list[tuple[Point, Point, Fraction]]:
         values = self._values()
-        ends = self._ends
-        # each piece's hi end is the next piece's lo end: one Point per end
-        pts = [lo.pt for lo, _, _ in ends[:1]] + [hi.pt for _, hi, _ in ends]
-        return [(lo, hi, values[v]) for lo, hi, (_, _, v) in zip(pts, pts[1:], ends)]
+        pts = [end.pt for end in self._bounds()]  # one Point per end
+        return list(zip(pts, pts[1:], map(values.__getitem__, map(_VALUE, self._ends))))
 
     @property
     def piece_count(self) -> int:
@@ -458,11 +516,15 @@ class LambdaProfile:
         Points. Window k has length t c_k with c_k = d(d-2n)/((kd+n)((k+1)d-n))
         for eps = n/d; the sum of c_k over the windows in between is taken
         in integer multiples of 2^-bits, rounded down and up, and multiplied
-        by the enclosure of t."""
+        by the enclosure of t. The atoms share eps, so their ranges of
+        windows in between overlap: each sum is read from one table of
+        prefix sums (_window_sums)."""
         n, d = self.eps.numerator, self.eps.denominator
-        num = (d * (d - 2 * n)) << bits
+        inner = [(k0 + 1, k_end - 1) for k0, k_end in self.windows]
+        sums = _window_sums((d * (d - 2 * n)) << bits, n, d, inner)
         lo_sum = hi_sum = Fraction(0)
-        for t, m, (k0, k_end) in zip(self.mu.atoms, self.mu.masses, self.windows):
+        for t, m, (k0, k_end), s, (a, b) in zip(self.mu.atoms, self.mu.masses,
+                                                self.windows, sums, inner):
             if k_end <= k0:
                 continue
             lo, hi = _window(t, self.eps, k0, k0, k_end, self.r, self.lam_floor)
@@ -470,12 +532,10 @@ class LambdaProfile:
             if k_end - 1 > k0:
                 lo, hi = _window(t, self.eps, k_end - 1, k0, k_end, self.r, self.lam_floor)
                 ends = ends + (hi.pt - lo.pt)
-            inner = range(k0 + 1, k_end - 1)
-            s = sum(num // ((k * d + n) * ((k + 1) * d - n)) for k in inner)
             e_lo, e_hi = ends.enclosure(bits)
             t_lo, t_hi = t.enclosure(bits)
             lo_sum += m * (e_lo + t_lo * Fraction(s, 1 << bits))
-            hi_sum += m * (e_hi + t_hi * Fraction(s + len(inner), 1 << bits))
+            hi_sum += m * (e_hi + t_hi * Fraction(s + max(b - a, 0), 1 << bits))
         return lo_sum, hi_sum
 
     def integral_at_least(self, threshold: Point, bits: int = 128) -> bool:
@@ -493,8 +553,9 @@ class LambdaProfile:
         are the ends' float midpoints, which are float() of the Points."""
         yield ("piece_lo", "piece_hi", "value")
         values = {v: fraction_str(q) for v, q in self._values().items()}
-        for lo, hi, v in self._ends:
-            yield (repr(lo.mid), repr(hi.mid), values[v])
+        # each end's midpoint once: -ball[0], the ball being the negated end's
+        mids = [repr(-end[0][0]) for end in self._bounds()]
+        yield from zip(mids, mids[1:], map(values.__getitem__, map(_VALUE, self._ends)))
 
 
 def _windows(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point):
@@ -643,24 +704,38 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
         sweep = _sweep(mu, eps, r, lam_floor, _windows(mu, eps, r, lam_floor), piece_cap)
         pieces = probes = top = 0
         ranked = {}  # value -> its first qualifying pieces, lam descending
-        for lo, hi, v in sweep:
-            pieces += 1
-            if v > top:
-                top = v
-            if v > above:
-                if v != full:
-                    group = ranked.get(v)
-                    if group is None:
-                        group = ranked[v] = []
-                    if len(group) < candidate_cap:
-                        group.append((lo, hi, v))
+        # the values met that are no longer open: not above the threshold,
+        # or with a full group; a block of these alone is skipped whole
+        settled = set()
+        stopped = False
+        for los, his, vals in sweep:
+            pieces += len(vals)
+            top = max(top, *vals)
+            if settled.issuperset(vals):
+                continue
+            # the open positions, found lazily: a value settled here is
+            # skipped at every later position
+            for i in compress(count(), map(not_, map(settled.__contains__, vals))):
+                v = vals[i]
+                if v <= above:
+                    settled.add(v)
                     continue
-                found = probe(lo, hi, v)
+                if v != full:
+                    group = ranked.setdefault(v, [])
+                    if len(group) < candidate_cap:
+                        group.append((los[i], his[i], v))
+                    if len(group) >= candidate_cap:
+                        settled.add(v)
+                    continue
+                found = probe(los[i], his[i], v)
                 if found:
                     return found
                 probes += 1
                 if probes == candidate_cap:
+                    stopped = True
                     break
+            if stopped:
+                break
         else:
             rest = [pc for v in sorted(ranked, reverse=True) for pc in ranked[v]]
             for lo, hi, v in rest[:candidate_cap - probes]:
@@ -673,10 +748,9 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
     # the diagnostics describe the last attempt's whole arrangement; if it
     # stopped at candidate_cap, its sweep goes on to the floor (on doubles:
     # no Point is built for the pieces it passes)
-    for _, _, v in sweep:
-        pieces += 1
-        if v > top:
-            top = v
+    for _, _, vals in sweep:
+        pieces += len(vals)
+        top = max(top, *vals)
     raise LambdaNotFound(
         f"no piece with value above {threshold} satisfied the constraints",
         diagnostics={

@@ -453,6 +453,81 @@ def test_integral_bounds_surd(mu_pair):
     assert hi - lo < F(1, 2**100)
 
 
+def _per_atom_integral_bounds(prof, bits):
+    """integral_bounds with each atom's windows in between summed on their
+    own: the reference for the shared table of prefix sums."""
+    n, d = prof.eps.numerator, prof.eps.denominator
+    num = (d * (d - 2 * n)) << bits
+    lo_sum = hi_sum = F(0)
+    for t, m, (k0, k_end) in zip(prof.mu.atoms, prof.mu.masses, prof.windows):
+        if k_end <= k0:
+            continue
+        lo, hi = _window(t, prof.eps, k0, k0, k_end, prof.r, prof.lam_floor)
+        ends = hi.pt - lo.pt
+        if k_end - 1 > k0:
+            lo, hi = _window(t, prof.eps, k_end - 1, k0, k_end, prof.r, prof.lam_floor)
+            ends = ends + (hi.pt - lo.pt)
+        inner = range(k0 + 1, k_end - 1)
+        s = sum(num // ((k * d + n) * ((k + 1) * d - n)) for k in inner)
+        e_lo, e_hi = ends.enclosure(bits)
+        t_lo, t_hi = t.enclosure(bits)
+        lo_sum += m * (e_lo + t_lo * F(s, 1 << bits))
+        hi_sum += m * (e_hi + t_hi * F(s + len(inner), 1 << bits))
+    return lo_sum, hi_sum
+
+
+def test_integral_bounds_match_per_atom_sums(rat_basis, surd_basis):
+    # the sums read from one table over the union of the atoms' ranges of
+    # windows in between equal each atom's own sum, whether the ranges are
+    # disjoint, nested, overlapping or empty
+    rng = random.Random(331)
+    seen = Counter()
+    for i in range(60):
+        kind = i % 4
+        eps = F(rng.randint(3, 9), rng.choice((30, 31, 32)))
+        a = rng.choice((rat_basis.rational(F(rng.randint(30, 90), 100)),
+                        surd_basis.point(["0", F(rng.randint(10, 30), 100), "1/50"])))
+        if kind == 0:    # far apart: disjoint ranges at floor scale 8
+            atoms = [a * F(1, rng.randint(40, 90)), a]
+        elif kind == 1:  # close: one range starts with the other, ends later
+            atoms = [a * F(1000 - rng.randint(1, 30), 1000), a]
+        elif kind == 2:  # within a factor 3: overlapping ranges
+            atoms = [a * F(1, 3), a * F(rng.randint(11, 29), 30), a]
+        else:            # a few windows each: some ranges empty
+            atoms = [a * F(10, rng.randint(11, 19)), a]
+        mu = DiscreteMeasure(atoms, [F(rng.randint(1, 9), 9) for _ in atoms])
+        floor_scale = (8, rng.choice((16, 64)), rng.choice((4, 32)), rng.choice((1, 2)))[kind]
+        prof = lambda_profile(mu, eps, F(rng.randint(1, 40), 40), floor_scale=floor_scale)
+        for bits in (8, 64, 128):
+            assert prof.integral_bounds(bits) == _per_atom_integral_bounds(prof, bits), \
+                (atoms, eps, floor_scale, bits)
+        inner = [(k0 + 1, k_end - 1) for k0, k_end in prof.windows]
+        ranges = sorted((lo, hi) for lo, hi in inner if lo < hi)
+        seen["empty"] += len(ranges) < len(inner)
+        for (a0, b0), (a1, b1) in zip(ranges, ranges[1:]):
+            seen["disjoint" if b0 <= a1 else "nested" if b1 <= b0 or a0 == a1 else
+                 "overlapping"] += 1
+    assert min(seen[k] for k in ("empty", "disjoint", "nested", "overlapping")) >= 5, seen
+
+
+def test_ranked_oracle_and_integral_bounds_with_filter_off(rat_basis, surd_basis, mu_pair,
+                                                           filter_off):
+    # with apart's margin off every decision is exact: a seeded slice of the
+    # ranked-oracle searches (the oracle's answers taken with the filter on)
+    # and both integral_bounds tests give the same results
+    cases = random.Random(59).sample(_oracle_cases(rat_basis, surd_basis), 24)
+    want = [_oracle_find(mu, eps, delta, **kw) for mu, eps, delta, kw in cases]
+    filter_off()
+    for (mu, eps, delta, kw), expected in zip(cases, want):
+        try:
+            got = find_lambda(mu, eps, delta, **kw).to_json()
+        except LambdaNotFound as exc:
+            got = exc.diagnostics
+        assert got == expected, (mu.atoms, eps, delta, kw)
+    test_integral_bounds_contain_exact_sum(rat_basis)
+    test_integral_bounds_surd(mu_pair)
+
+
 def test_deep_floor(mu_pair):
     eps, delta = F(1, 6), F(1, 2)
     shallow = find_lambda(mu_pair, eps, delta, floor_scale=200)
@@ -552,8 +627,8 @@ def test_sweep_ends_carry_their_points_doubles(rat_basis, surd_basis):
         r = cutoff_r(mu, eps, delta)
         lam_floor = r * F(1, floor_scale)
         try:
-            for lo, hi, _ in _sweep(mu, eps, r, lam_floor,
-                                    _windows(mu, eps, r, lam_floor), piece_cap):
+            for lo, hi, _ in _pieces(_sweep(mu, eps, r, lam_floor,
+                                            _windows(mu, eps, r, lam_floor), piece_cap)):
                 assert _bits((lo.mid, lo.rad)) == _bits(lo.pt.approx())
                 assert _bits((hi.mid, hi.rad)) == _bits(hi.pt.approx())
         except CapExceeded:
@@ -693,13 +768,25 @@ def _heap_sweep(mu, eps, r, lam_floor, windows, piece_cap):
         yield rep, above, value
 
 
+def _heap_blocks(mu, eps, r, lam_floor, windows, piece_cap):
+    """The reference sweep in the form of _sweep: each piece a block."""
+    for lo, hi, v in _heap_sweep(mu, eps, r, lam_floor, windows, piece_cap):
+        yield [lo], [hi], [v]
+
+
+def _pieces(blocks):
+    """The pieces (lo, hi, value) of a sweep's blocks, one at a time."""
+    for los, his, vals in blocks:
+        yield from zip(los, his, vals)
+
+
 def _trace(sweep, mu, eps, r, lam_floor, piece_cap):
     """Every piece as (lo midpoint, hi midpoint, lo key, hi key, value), then
     the CapExceeded message if the sweep raised one."""
     out = []
     try:
-        for lo, hi, v in sweep(mu, eps, r, lam_floor, _windows(mu, eps, r, lam_floor),
-                               piece_cap):
+        for lo, hi, v in _pieces(sweep(mu, eps, r, lam_floor,
+                                       _windows(mu, eps, r, lam_floor), piece_cap)):
             out.append((repr(lo.mid), repr(hi.mid), lo.pt.key, hi.pt.key, v))
     except CapExceeded as exc:
         out.append(("CapExceeded", str(exc)))
@@ -773,7 +860,7 @@ def test_block_sweep_matches_heap_merge(rat_basis, surd_basis):
     for mu, eps, delta, floor_scale, piece_cap in _sweep_cases(rat_basis, surd_basis, 180):
         r = cutoff_r(mu, eps, delta)
         lam_floor = r * F(1, floor_scale)
-        want = _trace(_heap_sweep, mu, eps, r, lam_floor, piece_cap)
+        want = _trace(_heap_blocks, mu, eps, r, lam_floor, piece_cap)
         got = _trace(_sweep, mu, eps, r, lam_floor, piece_cap)
         assert got == want, (mu.atoms, eps, delta, floor_scale, piece_cap)
         capped = bool(want) and want[-1][0] == "CapExceeded"
@@ -833,11 +920,63 @@ def test_find_lambda_same_with_heap_merge(rat_basis, surd_basis, monkeypatch):
                 x_1=cutoff_r(mu, eps, delta) * F(1, 10**6), x_l=mu.x_l))
         got = _find_outcome(mu, eps, delta, **kw)
         with monkeypatch.context() as m:
-            m.setattr(lambda_search, "_sweep", _heap_sweep)
+            m.setattr(lambda_search, "_sweep", _heap_blocks)
             want = _find_outcome(mu, eps, delta, **kw)
         assert got == want, (mu.atoms, eps, delta, kw)
         outcomes[got[0] if isinstance(got[0], str) else "found"] += 1
     assert min(outcomes[k] for k in ("found", "CapExceeded", "LambdaNotFound")) >= 10, outcomes
+
+
+def test_find_lambda_probe_order_same_with_heap_merge(rat_basis, surd_basis, monkeypatch):
+    # {a, 2a, 3a} measures with candidate_cap 1 to 4 and constraints that
+    # reject every piece: the pieces are probed in the same order, and the
+    # diagnostics agree, as with the reference merge of one-piece blocks;
+    # the blocks hold more qualifying pieces than candidate_cap, so a group
+    # fills, or the probes stop at the cap, inside a block
+    rng = random.Random(211)
+    seen = Counter()
+    direct = lambda_search.window_value
+    sweep = lambda_search._sweep
+    for i in range(32):
+        a = rng.choice((rat_basis.rational(F(rng.randint(10, 30), 100)),
+                        surd_basis.point(["0", F(rng.randint(8, 20), 100), "0"])))
+        # full-mass pieces qualify for eps 1/10 and 2/15, the 2/3 pieces
+        # too for 2/15, and none of either for 3/10
+        eps = (F(1, 10), F(2, 15), F(3, 10))[i % 3]
+        mu = DiscreteMeasure([a, a * 2, a * 3], [F(1, 3)] * 3)
+        threshold = (1 - 3 * eps) * mu.total_mass * _mass_units(mu)[0]
+        delta, cap = F(rng.randint(1, 40), 40), 1 + i % 4
+        kw = {"floor_scale": rng.choice((16, 32, 64)), "max_retries": 0, "candidate_cap": cap,
+              "constraints": WindowConstraints(
+                  x_1=cutoff_r(mu, eps, delta) * F(1, 10**6), x_l=mu.x_l)}
+        outcomes = []
+        blocks = []  # the qualifying pieces of each block of _sweep
+        for merge in (False, True):
+            probed = []
+
+            def recorded(mu, eps, lam):
+                probed.append(lam)
+                return direct(mu, eps, lam)
+
+            def recorded_sweep(*args):
+                for block in sweep(*args):
+                    blocks.append(sum(v > threshold for v in block[2]))
+                    yield block
+
+            with monkeypatch.context() as m:
+                m.setattr(lambda_search, "window_value", recorded)
+                m.setattr(lambda_search, "_sweep", _heap_blocks if merge else recorded_sweep)
+                with pytest.raises(LambdaNotFound) as exc:
+                    find_lambda(mu, eps, delta, **kw)
+            outcomes.append((probed, exc.value.diagnostics))
+        assert outcomes[0] == outcomes[1], (mu.atoms, eps, delta, kw)
+        probed = outcomes[0][0]
+        full = [window_value(mu, eps, lam) == 1 for lam in probed]
+        seen["stopped at the cap" if len(probed) == cap and all(full) else
+             "ranked" if not all(full) else "other"] += 1
+        seen["block past the cap"] += max(blocks) > cap
+    assert min(seen[k] for k in ("stopped at the cap", "ranked")) >= 5, seen
+    assert seen["block past the cap"] >= 20, seen
 
 
 @pytest.mark.parametrize("scale, floor_scale", [(1, 10**6), (F(1, 2**1000), 10**3)])
@@ -946,7 +1085,7 @@ def test_sweep_holds_near_ties_at_block_edge(rat_basis, monkeypatch, scale, band
         got = _trace(_sweep, mu, eps, r, lam_floor, 10**6)
         # the cut held p back while u was unread
         assert any(p.mid in held and u.mid in unread for held, unread in calls)
-        assert got == _trace(_heap_sweep, mu, eps, r, lam_floor, 10**6)
+        assert got == _trace(_heap_blocks, mu, eps, r, lam_floor, 10**6)
 
 
 def test_bad_input_raises_config_error(single_atom):
