@@ -247,8 +247,7 @@ def _cmd_find_lambda(args, cfg, basis, seq, params, out):
     floor_scale = _param(params, "floor_scale", _int, 10**4)
     res = find_lambda(mu, eps, delta, floor_scale=floor_scale)
     profile = lambda_profile(mu, eps, delta, floor_scale=floor_scale)
-    if args.format == "csv" or _param(params, "emit_profile", bool, True):
-        _write_csv(out / "lambda_profile.csv", profile.csv_rows())
+    _write_csv(out / "lambda_profile.csv", profile.csv_rows())
     return {"measure_index": idx, "lambda": res.to_json(),
             "profile_pieces": profile.piece_count}
 
@@ -438,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--explicit-cap", type=int, default=None,
                     help="explicit enumeration cap")
     ap.add_argument("--witness", default=None, help="witness file for verify")
-    ap.add_argument("--format", choices=("json", "csv"), default="json",
-                    help="emit auxiliary tables as CSV in addition to JSON")
     return ap
 
 

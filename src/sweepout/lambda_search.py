@@ -10,8 +10,9 @@ lam in (0, r], r = min(eps*x_1 / (2(1-eps)), delta), the mean value
 exceeds (1 - 3 eps) * |mu|, so some piece must too.
 
 One top-down sweep walks that step function from r to a floor and hands
-out its pieces by decreasing lam, a block at a time: the lists (los, his,
-values) of the pieces whose ends one block read passes, the values one
+out its pieces by decreasing lam, a block at a time: the lists (ends,
+vals) of the pieces whose ends one block read passes, the ends descending
+and piece i being (ends[i + 1], ends[i], vals[i]), the values one
 accumulate over the ends' step changes. The sweep reads the window ends
 in blocks, below double thresholds r * 0.9^j: for each atom t, the
 block's windows are one run of doubles, the balls (midpoint, radius) of
@@ -23,11 +24,12 @@ Each block is ordered by one float sort cut into certified clusters
 (exactreal.certified_clusters, the cut sort_points uses), and a cluster
 is passed on once it lies above every atom's next unread end by that cut
 (exactreal.cut_limit): that end lies exactly above all of the atom's
-unread ends. An end is a tuple of its ball, its step change and its
-ratio; its exact Point is built only where it is read: for the ends of a
-cluster of two or more, in the clipping tests against r and the floor,
-for a probed piece, for LambdaProfile.pieces, and for values so small
-that the radii swamp them, where the ends are ordered exactly.
+unread ends. An end is a plain tuple of its ball, its step change, the
+windows it opens, its atom and its ratio (_end); its exact Point is
+built only where it is read: for the ends of a cluster of two or more,
+in the clipping tests against r and the floor, for a probed piece, for
+LambdaProfile.pieces, and for values so small that the radii swamp
+them, where the ends are ordered exactly.
 Piece values are integers in units of 1/D, D the lcm of the mass
 denominators.
 
@@ -65,7 +67,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, partial
+from functools import cached_property, cmp_to_key
 from itertools import accumulate, compress, count, cycle, repeat
 from operator import floordiv, itemgetter, mul, not_
 
@@ -153,73 +155,52 @@ def _window_range(t: Point, eps: Fraction, r: Point, lam_floor: Point) -> tuple[
     return k0, k_end
 
 
-# an _End's ball, step change and opens, for C-level passes over many ends
+# a window end's ball, step change and opens, for C-level passes over many ends
 _BALL, _DM, _OPENS = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
-class _End(tuple):
-    """A window end in the sweep: the tuple (ball, dm, opens, t, a, b).
+def _end(t: Point, q: tuple[int, int] | None, dm: int) -> tuple:
+    """A window end in the sweep: the plain tuple (ball, dm, opens, t, a, b).
 
     The end is t * a/b for an atom t and a reduced ratio q = (a, b), or the
     Point t itself when q is None and a = b = None (r, the floor, clipped
     ends, and ends ordered exactly). ball is (-mid, rad), the ball of the
     negated end, which certified_clusters orders ascending: (mid, rad) are
     the doubles that the Point t * a/b would carry, scaled_approx of
-    t.approx(). dm is the change of the step value there in units of 1/D,
-    and opens the number of windows that the sweep enters when it passes
-    this end (1 for the lo end of a window with a successor; summed when
-    ends merge). The sweep builds most ends a run at a time (_run_ends),
-    through tuple.__new__ with no Python-level call per end. The exact
-    Point, pt, is built where it is read; an end ordered exactly is
-    rebuilt around its Point (_merged)."""
-
-    __slots__ = ()
-
-    def __new__(cls, t: Point, q: tuple[int, int] | None, dm: int):
-        if q is None:
-            mid, rad = t.approx()
-            return tuple.__new__(cls, ((-mid, rad), dm, 0, t, None, None))
-        a, b = q  # t * -a/b: the ball of the negated end
-        return tuple.__new__(cls, (scaled_approx(t.approx(), -a, b), dm, 0, t, a, b))
-
-    dm = property(_DM)
-    t = property(itemgetter(3))
-
-    @property
-    def q(self) -> tuple[int, int] | None:
-        return None if self[5] is None else self[4:]
-
-    @property
-    def mid(self) -> float:
-        return -self[0][0]
-
-    @property
-    def rad(self) -> float:
-        return self[0][1]
-
-    @property
-    def pt(self) -> Point:
-        _, _, _, t, a, b = self
-        return t if b is None else t.scaled(a, b)
+    t.approx(), so that -end[0][0] is the end's midpoint. dm is the change
+    of the step value there in units of 1/D, and opens the number of
+    windows that the sweep enters when it passes this end (1 for the lo
+    end of a window with a successor; summed when ends merge). This builds
+    the ends made one at a time; most are made a run at a time
+    (_run_ends), and an end ordered exactly is rebuilt around its Point
+    (_merged). The exact Point (_point) is built where it is read."""
+    if q is None:
+        mid, rad = t.approx()
+        return (-mid, rad), dm, 0, t, None, None
+    a, b = q  # t * -a/b: the ball of the negated end
+    return scaled_approx(t.approx(), -a, b), dm, 0, t, a, b
 
 
-_new_end = partial(tuple.__new__, _End)  # an _End from its fields
+def _point(end: tuple) -> Point:
+    """The exact Point of a window end: t, or t * a/b."""
+    _, _, _, t, a, b = end
+    return t if b is None else t.scaled(a, b)
 
 
-def _run_ends(t: Point, m: int, d: int, n: int, k: int, j: int) -> list[_End]:
+def _run_ends(t: Point, m: int, d: int, n: int, k: int, j: int) -> list[tuple]:
     """The lo end of window w, then the hi end of window w + 1, for
     k <= w < j: atom t's run of ends, descending, for eps = n/d and mass m
-    in units of 1/D. Every lo end opens a window. Each end is t * d/b, b
-    its position's denominator; the balls of the negated ends t * -d/b
-    come from t.approx() in one pass (scaled_balls)."""
+    in units of 1/D, as the tuples of _end, zipped from their fields.
+    Every lo end opens a window. Each end is t * d/b, b its position's
+    denominator; the balls of the negated ends t * -d/b come from
+    t.approx() in one pass (scaled_balls)."""
     reads = j - k
     lo = (k + 1) * d - n  # the lo end of window w is t * d/((w + 1) d - n)
     bs = [0] * (2 * reads)
     bs[::2] = range(lo, lo + reads * d, d)
     bs[1::2] = range(lo + 2 * n, lo + 2 * n + reads * d, d)  # hi: t * d/(w d + n)
     balls = scaled_balls(t.approx(), -d, bs)
-    return list(map(tuple.__new__, repeat(_End),
-                    zip(balls, cycle((-m, m)), cycle((1, 0)), repeat(t), repeat(d), bs)))
+    return list(zip(balls, cycle((-m, m)), cycle((1, 0)), repeat(t), repeat(d), bs))
 
 
 def _block_stop(apx: tuple[float, float], d: int, n: int, k: int, last: int,
@@ -249,22 +230,22 @@ def _block_stop(apx: tuple[float, float], d: int, n: int, k: int, last: int,
 
 
 def _window(t: Point, eps: Fraction, k: int, k0: int, k_end: int,
-            r: Point, lam_floor: Point, dm: int = 0) -> tuple[_End, _End]:
+            r: Point, lam_floor: Point, dm: int = 0) -> tuple[tuple, tuple]:
     """Window k of atom t, clipped to (lam_floor, r], as its ends (lo, hi);
     the step value rises by dm at hi and falls by dm at lo, going down."""
     # 1/(k+eps) = d/(k d + n) and 1/(k+1-eps) = d/((k+1) d - n) with
     # eps = n/d reduced; both right sides are already in lowest terms
     n, d = eps.numerator, eps.denominator
-    hi = _End(t, (d, k * d + n), dm)
-    lo = _End(t, (d, (k + 1) * d - n), -dm)
-    if k == k0 and compare(hi.pt, r) > 0:
-        hi = _End(r, None, dm)
-    if k == k_end - 1 and compare(lo.pt, lam_floor) < 0:
-        lo = _End(lam_floor, None, -dm)
+    hi = _end(t, (d, k * d + n), dm)
+    lo = _end(t, (d, (k + 1) * d - n), -dm)
+    if k == k0 and compare(_point(hi), r) > 0:
+        hi = _end(r, None, dm)
+    if k == k_end - 1 and compare(_point(lo), lam_floor) < 0:
+        lo = _end(lam_floor, None, -dm)
     return lo, hi
 
 
-def _merged(ends: list[_End]) -> list[_End]:
+def _merged(ends: list[tuple]) -> list[tuple]:
     """The distinct points of a cluster of ends, descending, by exact
     comparison, each end rebuilt around its Point. Equal ends merge: the
     one with the smallest midpoint (the first of them on a tie) represents
@@ -273,7 +254,7 @@ def _merged(ends: list[_End]) -> list[_End]:
     # sort meets nearly sorted runs even where the radii swamp the values
     # (the tiniest ends)
     ends = sorted(ends, key=lambda e: e[0][0])
-    pts = [end.pt for end in ends]
+    pts = list(map(_point, ends))
     out = []
     for i in sorted(range(len(ends)), key=cmp_to_key(lambda i, j: compare(pts[j], pts[i]))):
         ball, dm, opens = ends[i][:3]
@@ -282,13 +263,13 @@ def _merged(ends: list[_End]) -> list[_End]:
             rep_ball, rep_dm, rep_opens, rep_pt = out[-1][:4]
             if ball[0] <= rep_ball[0]:  # the representative's midpoint is the smaller
                 ball, pt = rep_ball, rep_pt
-            out[-1] = _new_end((ball, dm + rep_dm, opens + rep_opens, pt, None, None))
+            out[-1] = (ball, dm + rep_dm, opens + rep_opens, pt, None, None)
         else:
-            out.append(_new_end((ball, dm, opens, pt, None, None)))
+            out.append((ball, dm, opens, pt, None, None))
     return out
 
 
-def _descending(ends: list[_End], unread) -> tuple[list[_End], list[_End]]:
+def _descending(ends: list[tuple], unread) -> tuple[list[tuple], list[tuple]]:
     """(passed, rest): the clusters of ends that lie above every end of
     unread by the certified cut, in exact descending order with equal ends
     merged, and the other ends. certified_clusters reads the ends' balls,
@@ -309,11 +290,12 @@ _BLOCK_READS = 64  # windows that one atom may read in one block
 def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
            windows, piece_cap: int):
     """The pieces of the step function on (lam_floor, r], from r down, in
-    blocks (los, his, values): three lists, piece i being (los[i], his[i],
-    values[i]), lo and hi _Ends and the value in units of 1/D (see
-    _mass_units). A block holds the pieces of the ends that one block read
-    passes; the values are one accumulate over their step changes, and
-    his[i + 1] is los[i]. Equal window ends are merged (see _merged).
+    blocks (ends, vals): the ends descend, len(ends) == len(vals) + 1, and
+    piece i is (ends[i + 1], ends[i], vals[i]), its lo and hi end (tuples
+    of _end) and its value in units of 1/D (see _mass_units). A block
+    holds the pieces of the ends that one block read passes, and starts at
+    the previous block's last end; the values are one accumulate over the
+    ends' step changes. Equal window ends are merged (see _merged).
     Raises CapExceeded once more than piece_cap windows have been entered:
     each atom's first window at the start, and the next one each time the
     sweep passes the lo end of a window (one sum over the opens of a
@@ -345,11 +327,11 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
             budget -= 1
             if budget < 0:
                 raise CapExceeded(f"profile needs more than {piece_cap} pieces")
-            hi = _End(t, (d, k0 * d + n), m)
-            if compare(hi.pt, r) > 0:
-                hi = _End(r, None, m)
-            cursors.append([hi, hi.mid, t, m, k0, k_end])
-    pending = [_End(r, None, 0)]
+            hi = _end(t, (d, k0 * d + n), m)
+            if compare(_point(hi), r) > 0:
+                hi = _end(r, None, m)
+            cursors.append([hi, -hi[0][0], t, m, k0, k_end])
+    pending = [_end(r, None, 0)]
     above = None
     value = 0
     thr = r.approx()[0]
@@ -371,29 +353,29 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
             j = _block_stop(t.approx(), d, n, k, min(k + _BLOCK_READS, k_end), thr)
             if j == k_end:  # the atom's last window: its lo end is clipped
                 pending += _run_ends(t, m, d, n, k, j - 1)
-                lo = _End(t, (d, k_end * d - n), -m)
-                if compare(lo.pt, lam_floor) < 0:
-                    lo = _End(lam_floor, None, -m)
+                lo = _end(t, (d, k_end * d - n), -m)
+                if compare(_point(lo), lam_floor) < 0:
+                    lo = _end(lam_floor, None, -m)
                 pending.append(lo)
                 continue
             run = _run_ends(t, m, d, n, k, j)
             cur[0] = hi = run.pop()
-            cur[1] = mid = hi.mid
+            cur[1] = mid = -hi[0][0]
             cur[4] = j
             pending += run
             capped = capped or (j - k == _BLOCK_READS and mid >= thr)
             live.append(cur)
         cursors = live
         if not cursors:
-            pending.append(_End(lam_floor, None, 0))
+            pending.append(_end(lam_floor, None, 0))
         read = len(pending) > carried
         passed, pending = _descending(pending, [cur[0] for cur in cursors])
         if not passed and read and cursors:
             # the doubles separate nothing here: order the ends exactly and
             # pass those exactly above every next unread hi end
-            unread = max((cur[0].pt for cur in cursors), key=cmp_to_key(compare))
+            unread = max((_point(cur[0]) for cur in cursors), key=cmp_to_key(compare))
             ends, _ = _descending(pending, ())
-            cut = bisect_left(ends, True, key=lambda e: compare(e.pt, unread) <= 0)
+            cut = bisect_left(ends, True, key=lambda e: compare(_point(e), unread) <= 0)
             passed, pending = ends[:cut], ends[cut:]
         opens = sum(map(_OPENS, passed))
         capped_here = opens > budget
@@ -405,16 +387,13 @@ def _sweep(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point,
             # end before it, with the value above that end
             vals = list(accumulate(map(_DM, passed), initial=value))
             value = vals.pop()
-            his = passed[:-1]
             if above is None:  # r, the first end, is no piece's lo end
                 del vals[0]
-                los = passed[1:]
             else:
-                his.insert(0, above)
-                los = passed
+                passed.insert(0, above)
             above = passed[-1]
             if vals:
-                yield los, his, vals
+                yield passed, vals
         if capped_here:
             raise CapExceeded(f"profile needs more than {piece_cap} pieces")
         if not cursors:  # the floor was the last end: nothing is left
@@ -441,24 +420,21 @@ def _window_sums(num: int, n: int, d: int, ranges: list[tuple[int, int]]) -> lis
     return [table[b - lo] - table[a - lo] if a < b else 0 for a, b in ranges]
 
 
-_HI, _VALUE = itemgetter(1), itemgetter(2)  # a piece's hi end and value
-
-
 @dataclass(eq=False)
 class LambdaProfile:
     """The step function on (lam_floor, r].
 
     pieces, its arrangement, is built on first read: consecutive
     (lo, hi, value) with exact Point endpoints that partition
-    (lam_floor, r], ascending. The sweep's blocks are kept as its ends
-    (_ends), extended from each block's zip; piece_count and csv_rows
-    read them as doubles and build no Point, and csv_rows prints each
-    end's midpoint once, as the hi end of one row and the lo of the
-    next. Reading any of them raises CapExceeded when more than
-    piece_cap windows meet that range. Pieces
-    below lam_floor are discarded (the atom windows accumulate to 0
-    there), so the integral is a certified lower bound for the full
-    integral over (0, r].
+    (lam_floor, r], ascending. The sweep's blocks are kept as one
+    ascending list of ends and one of values (_arrangement), piece i being
+    (ends[i], ends[i + 1], vals[i]); piece_count and csv_rows read them as
+    doubles and build no Point, and csv_rows prints each end's midpoint
+    once, as the hi end of one row and the lo of the next. Reading any of
+    them raises CapExceeded when more than piece_cap windows meet that
+    range. Pieces below lam_floor are discarded (the atom windows
+    accumulate to 0 there), so the integral is a certified lower bound for
+    the full integral over (0, r].
     """
 
     mu: DiscreteMeasure
@@ -468,45 +444,36 @@ class LambdaProfile:
     windows: tuple[tuple[int, int], ...]
     piece_cap: int = DEFAULT_PIECE_CAP
 
-    @property
-    def total_mass(self) -> Fraction:
-        return self.mu.total_mass
-
     @cached_property
-    def _ends(self) -> list[tuple[_End, _End, int]]:
-        """The arrangement as (lo, hi, value in units of 1/D), ascending."""
+    def _arrangement(self) -> tuple[list[tuple], list[int]]:
+        """(ends, vals): the ends, ascending, and the values in units of
+        1/D, of the pieces (ends[i], ends[i + 1], vals[i])."""
         if sum(k_end - k0 for k0, k_end in self.windows) > self.piece_cap:
             raise CapExceeded(f"profile needs more than {self.piece_cap} pieces")
-        ends = []
-        for block in _sweep(self.mu, self.eps, self.r, self.lam_floor,
-                            self.windows, self.piece_cap):
-            ends += zip(*block)
+        ends, vals = [], []
+        for block_ends, block_vals in _sweep(self.mu, self.eps, self.r, self.lam_floor,
+                                             self.windows, self.piece_cap):
+            ends[-1:] = block_ends  # the block starts at the last end so far
+            vals += block_vals
         ends.reverse()
-        return ends
+        vals.reverse()
+        return ends, vals
 
     def _values(self) -> dict[int, Fraction]:
         """Each value of the arrangement, in units of 1/D, as a Fraction."""
         denom = _mass_units(self.mu)[0]
-        return {v: Fraction(v, denom) for v in set(map(_VALUE, self._ends))}
-
-    def _bounds(self) -> list[_End]:
-        """The ends of the pieces, ascending: each piece's hi end is the
-        next piece's lo end, one object."""
-        ends = self._ends
-        return [lo for lo, _, _ in ends[:1]] + list(map(_HI, ends))
+        return {v: Fraction(v, denom) for v in set(self._arrangement[1])}
 
     @cached_property
     def pieces(self) -> list[tuple[Point, Point, Fraction]]:
+        ends, vals = self._arrangement
         values = self._values()
-        pts = [end.pt for end in self._bounds()]  # one Point per end
-        return list(zip(pts, pts[1:], map(values.__getitem__, map(_VALUE, self._ends))))
+        pts = list(map(_point, ends))  # one Point per end
+        return list(zip(pts, pts[1:], map(values.__getitem__, vals)))
 
     @property
     def piece_count(self) -> int:
-        return len(self._ends)
-
-    def max_value(self) -> Fraction:
-        return max(self._values().values(), default=Fraction(0))
+        return len(self._arrangement[1])
 
     def integral_bounds(self, bits: int = 128) -> tuple[Fraction, Fraction]:
         """Certified enclosure of the integral, sum_i m_i |W_i|, where W_i
@@ -528,10 +495,10 @@ class LambdaProfile:
             if k_end <= k0:
                 continue
             lo, hi = _window(t, self.eps, k0, k0, k_end, self.r, self.lam_floor)
-            ends = hi.pt - lo.pt
+            ends = _point(hi) - _point(lo)
             if k_end - 1 > k0:
                 lo, hi = _window(t, self.eps, k_end - 1, k0, k_end, self.r, self.lam_floor)
-                ends = ends + (hi.pt - lo.pt)
+                ends = ends + (_point(hi) - _point(lo))
             e_lo, e_hi = ends.enclosure(bits)
             t_lo, t_hi = t.enclosure(bits)
             lo_sum += m * (e_lo + t_lo * Fraction(s, 1 << bits))
@@ -552,10 +519,11 @@ class LambdaProfile:
         """The header, then (lo, hi, value) per piece, ascending; lo and hi
         are the ends' float midpoints, which are float() of the Points."""
         yield ("piece_lo", "piece_hi", "value")
+        ends, vals = self._arrangement
         values = {v: fraction_str(q) for v, q in self._values().items()}
         # each end's midpoint once: -ball[0], the ball being the negated end's
-        mids = [repr(-end[0][0]) for end in self._bounds()]
-        yield from zip(mids, mids[1:], map(values.__getitem__, map(_VALUE, self._ends)))
+        mids = [repr(-end[0][0]) for end in ends]
+        yield from zip(mids, mids[1:], map(values.__getitem__, vals))
 
 
 def _windows(mu: DiscreteMeasure, eps: Fraction, r: Point, lam_floor: Point):
@@ -680,7 +648,7 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
 
     def probe(lo, hi, v):
         val = Fraction(v, denom)
-        lo, hi = lo.pt, hi.pt
+        lo, hi = _point(lo), _point(hi)
         lam = _rational_inside(lo, hi)
         direct = window_value(mu, eps, lam)
         if direct != val:
@@ -708,7 +676,7 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
         # or with a full group; a block of these alone is skipped whole
         settled = set()
         stopped = False
-        for los, his, vals in sweep:
+        for ends, vals in sweep:
             pieces += len(vals)
             top = max(top, *vals)
             if settled.issuperset(vals):
@@ -723,11 +691,11 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
                 if v != full:
                     group = ranked.setdefault(v, [])
                     if len(group) < candidate_cap:
-                        group.append((los[i], his[i], v))
+                        group.append((ends[i + 1], ends[i], v))
                     if len(group) >= candidate_cap:
                         settled.add(v)
                     continue
-                found = probe(los[i], his[i], v)
+                found = probe(ends[i + 1], ends[i], v)
                 if found:
                     return found
                 probes += 1
@@ -748,7 +716,7 @@ def find_lambda(mu: DiscreteMeasure, eps: Fraction, delta: Fraction,
     # the diagnostics describe the last attempt's whole arrangement; if it
     # stopped at candidate_cap, its sweep goes on to the floor (on doubles:
     # no Point is built for the pieces it passes)
-    for _, _, vals in sweep:
+    for _, vals in sweep:
         pieces += len(vals)
         top = max(top, *vals)
     raise LambdaNotFound(

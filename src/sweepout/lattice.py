@@ -72,10 +72,6 @@ class CertQuotient:
         return escalate(decide, bits, self.den.basis.precision_cap,
                         "denominator {!r} not certified positive at {cap} bits", self.den)
 
-    def __float__(self):
-        lo, hi = self.enclosure(96)
-        return float((lo + hi) / 2)
-
 
 @dataclass
 class LatticeSpec:

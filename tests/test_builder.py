@@ -14,6 +14,7 @@ from sweepout.builder import (EGPair, SweepOutWitness, build_eg,
 from sweepout.errors import (CapExceeded, GrowthExhausted, SequenceExhausted)
 from sweepout.exactreal import PointSet, compare, extent, min_gap
 from sweepout.measures import DiscreteMeasure, MeasureSequence, convolve_indicator
+from tests import test_exactreal
 from tests.conftest import geometric_sequence, raises_config_error
 
 
@@ -301,6 +302,19 @@ def test_witness_membership_matches_explicit_oracle(geom_seq):
         for v in probes:
             for x in (v - mu.atoms[0], v - mu.atoms[1] + 3):
                 assert convolve_indicator(mu, w, x) == convolve_indicator(mu, A, x), x
+
+
+def test_membership_and_sort_oracles_with_filter_off(rat_basis, surd_basis, geom_seq,
+                                                    monkeypatch, filter_off):
+    # with apart's margin off every decision is exact: the four-lift torus
+    # oracle, the sort and bisect oracles and both witness membership
+    # oracles give the same answers
+    filter_off()
+    test_exactreal.test_contains_torus_matches_four_lift_oracle(rat_basis, surd_basis)
+    test_exactreal.test_sort_points_matches_cmp_sort(monkeypatch)
+    test_exactreal.test_bisect_points_matches_bisect(monkeypatch)
+    test_factored_membership_matches_explicit(geom_seq)
+    test_witness_membership_matches_explicit_oracle(geom_seq)
 
 
 def test_locate_gets_the_balls_of_the_points(geom_seq, monkeypatch):

@@ -10,8 +10,8 @@ from sweepout import lambda_search
 from sweepout.errors import CapExceeded, LambdaNotFound
 from sweepout.exactreal import (GeneratorBasis, IntervalSet, Point, compare,
                                floor_point, fraction_str)
-from sweepout.lambda_search import (LambdaResult, WindowConstraints, _End,
-                                    _mass_units, _rational_inside, _run_ends,
+from sweepout.lambda_search import (LambdaResult, WindowConstraints, _end,
+                                    _mass_units, _point, _rational_inside, _run_ends,
                                     _sweep, _window, _window_range, _windows,
                                     cutoff_r,
                                     find_lambda, frac_window_sets,
@@ -463,10 +463,10 @@ def _per_atom_integral_bounds(prof, bits):
         if k_end <= k0:
             continue
         lo, hi = _window(t, prof.eps, k0, k0, k_end, prof.r, prof.lam_floor)
-        ends = hi.pt - lo.pt
+        ends = _point(hi) - _point(lo)
         if k_end - 1 > k0:
             lo, hi = _window(t, prof.eps, k_end - 1, k0, k_end, prof.r, prof.lam_floor)
-            ends = ends + (hi.pt - lo.pt)
+            ends = ends + (_point(hi) - _point(lo))
         inner = range(k0 + 1, k_end - 1)
         s = sum(num // ((k * d + n) * ((k + 1) * d - n)) for k in inner)
         e_lo, e_hi = ends.enclosure(bits)
@@ -545,6 +545,15 @@ def _bits(apx):
     return tuple(x.hex() for x in apx)
 
 
+def _mid(end):
+    """A window end's midpoint: its ball is the negated end's."""
+    return -end[0][0]
+
+
+def _rad(end):
+    return end[0][1]
+
+
 def test_lazy_ends_carry_the_product_doubles(rat_basis, surd_basis):
     # each end's (mid, rad) is bit for bit the approximation that the Point
     # t * a/b gets from Point.__mul__; clipped ends are r and the floor
@@ -569,16 +578,16 @@ def test_lazy_ends_carry_the_product_doubles(rat_basis, surd_basis):
             k0, k_end = _window_range(t, eps, r, lam_floor)
             for k in range(k0, k_end):
                 for end in _window(t, eps, k, k0, k_end, r, lam_floor):
-                    if end.q is None:
+                    if end[5] is None:  # no ratio: the end is the Point end[3]
                         clipped += 1
-                        assert end.t is r or end.t is lam_floor
-                        assert end.pt is end.t
-                        assert _bits((end.mid, end.rad)) == _bits(end.t.approx())
+                        assert end[3] is r or end[3] is lam_floor
+                        assert _point(end) is end[3]
+                        assert _bits((_mid(end), _rad(end))) == _bits(end[3].approx())
                         continue
-                    want = t * F(*end.q)
-                    assert _bits((end.mid, end.rad)) == _bits(want.approx())
-                    assert end.pt.key == want.key
-                    assert _bits(end.pt.approx()) == _bits(want.approx())
+                    want = t * F(*end[4:])
+                    assert _bits((_mid(end), _rad(end))) == _bits(want.approx())
+                    assert _point(end).key == want.key
+                    assert _bits(_point(end).approx()) == _bits(want.approx())
     assert clipped > 0
 
 
@@ -613,9 +622,9 @@ def test_run_ends_carry_the_product_doubles(rat_basis, surd_basis):
                 b, dm, opens = (w + 1) * d + n, m, 0
             want = t.scaled(d, b)
             assert tuple(end[1:]) == (dm, opens, t, d, b)
-            assert _bits((end.mid, end.rad)) == _bits(want.approx())
+            assert _bits((_mid(end), _rad(end))) == _bits(want.approx())
             assert _bits(end[0]) == _bits((-want.approx()[0], want.approx()[1]))
-            assert end.pt.key == (t * F(d, b)).key
+            assert _point(end).key == (t * F(d, b)).key
             kinds[kind, k >= 9936] += 1
     assert min(kinds.values()) > 0 and len(kinds) == 6, kinds
 
@@ -629,8 +638,8 @@ def test_sweep_ends_carry_their_points_doubles(rat_basis, surd_basis):
         try:
             for lo, hi, _ in _pieces(_sweep(mu, eps, r, lam_floor,
                                             _windows(mu, eps, r, lam_floor), piece_cap)):
-                assert _bits((lo.mid, lo.rad)) == _bits(lo.pt.approx())
-                assert _bits((hi.mid, hi.rad)) == _bits(hi.pt.approx())
+                assert _bits((_mid(lo), _rad(lo))) == _bits(_point(lo).approx())
+                assert _bits((_mid(hi), _rad(hi))) == _bits(_point(hi).approx())
         except CapExceeded:
             pass
 
@@ -645,7 +654,6 @@ def test_csv_rows_read_the_ends(rat_basis, surd_basis):
         assert prof.piece_count == len(rows) - 1
         assert rows[1:] == [(repr(float(lo)), repr(float(hi)), fraction_str(v))
                             for lo, hi, v in prof.pieces]
-        assert prof.max_value() == max((v for _, _, v in prof.pieces), default=0)
 
 
 @pytest.mark.parametrize("masses, eps, at_threshold", [
@@ -725,10 +733,10 @@ class _HeapKey:
 
     def __lt__(self, other):
         a, b = self.end, other.end
-        d = a.mid - b.mid
-        if abs(d) > 4.0 * (a.rad + b.rad) + 1e-300:
+        d = _mid(a) - _mid(b)
+        if abs(d) > 4.0 * (_rad(a) + _rad(b)) + 1e-300:
             return d > 0
-        return compare(a.pt, b.pt) > 0
+        return compare(_point(a), _point(b)) > 0
 
 
 def _heap_sweep(mu, eps, r, lam_floor, windows, piece_cap):
@@ -752,18 +760,18 @@ def _heap_sweep(mu, eps, r, lam_floor, windows, piece_cap):
                for t, m, (k0, k_end) in zip(mu.atoms, _mass_units(mu)[1], windows)]
     above = None
     value = 0
-    rep = _End(r, None, 0)
+    rep = _end(r, None, 0)
     dm = 0  # the dm of the ends merged into rep
-    for end in heapq.merge(*streams, [_End(lam_floor, None, 0)], key=_HeapKey):
+    for end in heapq.merge(*streams, [_end(lam_floor, None, 0)], key=_HeapKey):
         if not _HeapKey(rep) < _HeapKey(end):  # end <= rep as the ends descend
-            dm += end.dm
-            if end.mid < rep.mid:
+            dm += end[1]
+            if _mid(end) < _mid(rep):
                 rep = end
             continue
         if above is not None:
             yield rep, above, value
         value += dm
-        above, rep, dm = rep, end, end.dm
+        above, rep, dm = rep, end, end[1]
     if above is not None:
         yield rep, above, value
 
@@ -771,13 +779,13 @@ def _heap_sweep(mu, eps, r, lam_floor, windows, piece_cap):
 def _heap_blocks(mu, eps, r, lam_floor, windows, piece_cap):
     """The reference sweep in the form of _sweep: each piece a block."""
     for lo, hi, v in _heap_sweep(mu, eps, r, lam_floor, windows, piece_cap):
-        yield [lo], [hi], [v]
+        yield [hi, lo], [v]
 
 
 def _pieces(blocks):
     """The pieces (lo, hi, value) of a sweep's blocks, one at a time."""
-    for los, his, vals in blocks:
-        yield from zip(los, his, vals)
+    for ends, vals in blocks:
+        yield from zip(ends[1:], ends, vals)
 
 
 def _trace(sweep, mu, eps, r, lam_floor, piece_cap):
@@ -787,7 +795,7 @@ def _trace(sweep, mu, eps, r, lam_floor, piece_cap):
     try:
         for lo, hi, v in _pieces(sweep(mu, eps, r, lam_floor,
                                        _windows(mu, eps, r, lam_floor), piece_cap)):
-            out.append((repr(lo.mid), repr(hi.mid), lo.pt.key, hi.pt.key, v))
+            out.append((repr(_mid(lo)), repr(_mid(hi)), _point(lo).key, _point(hi).key, v))
     except CapExceeded as exc:
         out.append(("CapExceeded", str(exc)))
     return out
@@ -960,7 +968,7 @@ def test_find_lambda_probe_order_same_with_heap_merge(rat_basis, surd_basis, mon
 
             def recorded_sweep(*args):
                 for block in sweep(*args):
-                    blocks.append(sum(v > threshold for v in block[2]))
+                    blocks.append(sum(v > threshold for v in block[1]))
                     yield block
 
             with monkeypatch.context() as m:
@@ -982,24 +990,24 @@ def test_find_lambda_probe_order_same_with_heap_merge(rat_basis, surd_basis, mon
 @pytest.mark.parametrize("scale, floor_scale", [(1, 10**6), (F(1, 2**1000), 10**3)])
 def test_find_lambda_reads_few_ends(surd_basis, monkeypatch, scale, floor_scale):
     # demo measure 0: the search stops near r, so only the first blocks of
-    # window ends are computed, in runs or as end objects; also at 2^-1000,
+    # window ends are computed, in runs or one at a time; also at 2^-1000,
     # where the doubles separate no end and the ends are ordered exactly
     mu = DiscreteMeasure([surd_basis.point(["0", "1/4", "0"]) * scale,
                           surd_basis.point(["0", "0", "1/4"]) * scale], [F(1, 2), F(1, 2)])
     computed = [0]
-    new = _End.__new__
+    end = lambda_search._end
     run_ends = lambda_search._run_ends
 
-    def counted_new(cls, *args):
+    def counted_end(*args):
         computed[0] += 1
-        return new(cls, *args)
+        return end(*args)
 
     def counted_run(*args):
         ends = run_ends(*args)
         computed[0] += len(ends)
         return ends
 
-    monkeypatch.setattr(_End, "__new__", counted_new)
+    monkeypatch.setattr(lambda_search, "_end", counted_end)
     monkeypatch.setattr(lambda_search, "_run_ends", counted_run)
     res = find_lambda(mu, F(1, 6), F(1, 2), floor_scale=floor_scale)
     assert res.value == 1
@@ -1016,7 +1024,7 @@ _MARGIN = F(1e-300)
 def _cut_gap(p, u):
     """How far p's lower end m - 4r lies above u's upper end m + 4r, exactly
     on their doubles."""
-    return F(p.mid) - 4 * F(p.rad) - F(u.mid) - 4 * F(u.rad)
+    return F(_mid(p)) - 4 * F(_rad(p)) - F(_mid(u)) - 4 * F(_rad(u))
 
 
 def _near_tie_at_block_edge(rat_basis, scale, band, block, k, j):
@@ -1036,15 +1044,15 @@ def _near_tie_at_block_edge(rat_basis, scale, band, block, k, j):
     def ends(p_val, u_val):
         a = rat_basis.rational(p_val * F(k * d + n, d))
         b = rat_basis.rational(u_val * F(j * d + n, d))
-        return a, b, _End(a, (d, k * d + n), 0), _End(b, (d, j * d + n), 0)
+        return a, b, _end(a, (d, k * d + n), 0), _end(b, (d, j * d + n), 0)
 
     edge = F(thr)
     _, _, p, u = ends(edge, edge)
-    p_band, u_band = 4 * F(p.rad), 4 * F(u.rad)
+    p_band, u_band = 4 * F(_rad(p)), 4 * F(_rad(u))
     apart = p_band + u_band / 2 if band == "radius" else p_band + u_band + _MARGIN / 2
     above = min(apart / 4, edge * F(1, 10**15))
     a, b, p, u = ends(edge + above, edge + above - apart)
-    assert p.mid >= thr > u.mid  # p is read in that block, u is not
+    assert _mid(p) >= thr > _mid(u)  # p is read in that block, u is not
     mu = DiscreteMeasure([a, b], [F(1, 3), F(2, 3)])
     assert cutoff_r(mu, eps, delta) == rat_basis.rational(delta)
     return mu, eps, delta, p, u
@@ -1065,9 +1073,9 @@ def test_sweep_holds_near_ties_at_block_edge(rat_basis, monkeypatch, scale, band
         unread = list(unread)
         for e in passed:
             for u in unread:
-                slack = 2 * F(max(abs(e.mid), abs(u.mid))) / 2**52
-                assert _cut_gap(e, u) > _MARGIN - slack, (e.mid, e.rad, u.mid, u.rad)
-        calls.append(({e.mid for e in rest}, {u.mid for u in unread}))
+                slack = 2 * F(max(abs(_mid(e)), abs(_mid(u)))) / 2**52
+                assert _cut_gap(e, u) > _MARGIN - slack, (_mid(e), _rad(e), _mid(u), _rad(u))
+        calls.append(({_mid(e) for e in rest}, {_mid(u) for u in unread}))
         return passed, rest
 
     monkeypatch.setattr(lambda_search, "_descending", checked)
@@ -1076,7 +1084,7 @@ def test_sweep_holds_near_ties_at_block_edge(rat_basis, monkeypatch, scale, band
         mu, eps, delta, p, u = _near_tie_at_block_edge(rat_basis, scale, band,
                                                        block, k, j)
         if band == "radius":
-            assert _cut_gap(p, u) < 0 < F(p.mid) - 4 * F(p.rad) - F(u.mid) - _MARGIN
+            assert _cut_gap(p, u) < 0 < F(_mid(p)) - 4 * F(_rad(p)) - F(_mid(u)) - _MARGIN
         else:
             assert 0 < _cut_gap(p, u) < _MARGIN
         r = cutoff_r(mu, eps, delta)
@@ -1084,7 +1092,7 @@ def test_sweep_holds_near_ties_at_block_edge(rat_basis, monkeypatch, scale, band
         calls.clear()
         got = _trace(_sweep, mu, eps, r, lam_floor, 10**6)
         # the cut held p back while u was unread
-        assert any(p.mid in held and u.mid in unread for held, unread in calls)
+        assert any(_mid(p) in held and _mid(u) in unread for held, unread in calls)
         assert got == _trace(_heap_blocks, mu, eps, r, lam_floor, 10**6)
 
 
