@@ -396,8 +396,9 @@ class SweepOutWitness:
         return [acc for acc, _ in _sums([f.G for f in self.factors])]
 
     def explicit_E(self, cap: int = DEFAULT_EXPLICIT_CAP) -> list[tuple[Point, int]]:
-        """(point, k) pairs where k is the factor contributing its E set."""
-        total = sum(self.count_F)
+        """(point, k) pairs where k is the factor contributing its E set.
+        The cap reads the factors' counts, not a file's stored count_F."""
+        total = sum(_product_counts(self.factors)[1])
         if total > cap:
             raise CapExceeded(f"explicit E needs {total} points, cap {cap}")
         out = []
@@ -742,7 +743,7 @@ def _explicit_checks(w: SweepOutWitness, seq: MeasureSequence,
                   "Delta_measure_A": decimal_enclosure_str(mA * w.Delta)},
         passed=compare(mB, mA * w.Delta) > 0, method="exact"))
 
-    profiles = {}
+    profiles = [step_profile(seq[i], A) for i in w.indices]
     component_rows = []
     all_ok = True
     for pt, k in e_pairs:
@@ -752,10 +753,7 @@ def _explicit_checks(w: SweepOutWitness, seq: MeasureSequence,
         used = None
         worst = None
         for i in order:
-            mu = seq[w.indices[i]]
-            if i not in profiles:
-                profiles[i] = step_profile(mu, A)
-            val = min_on_interval(mu, A, lo, hi, profile=profiles[i])
+            val = min_on_interval(seq[w.indices[i]], A, lo, hi, profile=profiles[i])
             if worst is None or val > worst:
                 worst = val
             if val > w.delta:
@@ -777,13 +775,11 @@ def _explicit_checks(w: SweepOutWitness, seq: MeasureSequence,
                   "all_ok": all_ok},
         passed=all_ok, method="exact"))
 
-    level_union = IntervalSet.empty(w.basis)
-    for i in range(w.m):
-        mu = seq[w.indices[i]]
-        if i not in profiles:
-            profiles[i] = step_profile(mu, A)
-        level_union = level_union.union(profiles[i].level_set(w.delta))
-    m_level = level_union.measure()
+    # {x : sup_k S 1_A(x) > delta} is the union of every profile's pieces
+    # above delta; its canonical form, and so its measure, is unique
+    m_level = IntervalSet.canonicalize(w.basis, [
+        (lo, hi) for prof in profiles for lo, hi, v in prof.pieces
+        if v > w.delta]).measure()
     checks.append(Check(
         name="explicit.level_set_measure",
         claim="|{x : sup_k S 1_A(x) > delta}| > Delta |A| (contains B)",

@@ -962,6 +962,8 @@ class IntervalSet:
         return IntervalSet(self.basis, ivs)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        """The common part of two sets, by an all-pairs scan. The package
+        itself never intersects sets; the tests keep it as an oracle."""
         out = []
         for alo, ahi in self.intervals:
             for blo, bhi in other.intervals:
@@ -970,9 +972,6 @@ class IntervalSet:
                 if compare(lo, hi) < 0:
                     out.append((lo, hi))
         return IntervalSet.canonicalize(self.basis, out) if out else IntervalSet.empty(self.basis)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.canonicalize(self.basis, list(self.intervals) + list(other.intervals))
 
     def contains(self, x: Point) -> bool:
         j = bisect_points(self._los, x, right=True)
@@ -996,7 +995,8 @@ class IntervalSet:
                    for k, j in torus_locate(x, self._edges, self._apx))
 
     def contains_set(self, other: "IntervalSet") -> bool:
-        """other is a subset of self (both canonical, open)."""
+        """other is a subset of self (both canonical, open). Only the tests
+        call it, as an oracle for the sets the package builds."""
         for lo, hi in other.intervals:
             j = bisect_points(self._los, lo, right=True)
             if j == 0:

@@ -299,7 +299,7 @@ def enumerate_lattice(spec: LatticeSpec, m: int,
 
 def expected_cardinality(spec: LatticeSpec, m: int) -> int:
     """(2 m tau + 1)^(nu-1) * (2 (nu m tau + 1) + 1), exact for an
-    independent core."""
+    independent core. The tests check enumerated levels against it."""
     return (2 * m * spec.tau + 1) ** (spec.nu - 1) * (2 * (spec.nu * m * spec.tau + 1) + 1)
 
 

@@ -11,7 +11,8 @@ line; all membership is decided on the torus, by the sets' contains_torus.
 
 The overlay machinery (step_profile) decomposes x -> S 1_A(x) into its
 exact step function on [0, 1), which gives level sets, integrals and
-per-interval minima with no approximation. It backs both the mass
+per-interval minima with no approximation; a minimum bisects the sorted
+breakpoints for the pieces its interval meets. It backs both the mass
 identity  integral S 1_G = |mu| |G|  and the Chebyshev-style level-set
 bound, and is reused by the witness verifier.
 
@@ -28,8 +29,8 @@ from typing import Sequence
 
 from .errors import ConfigError
 from .exactreal import (GeneratorBasis, IntervalSet, Point, PointSet,
-                        compare, floor_point, fraction_str, parse_fraction,
-                        sort_points)
+                        bisect_points, compare, floor_point, fraction_str,
+                        parse_fraction, sort_points)
 
 
 class DiscreteMeasure:
@@ -310,12 +311,14 @@ def min_on_interval(mu: DiscreteMeasure, A: IntervalSet, lo: Point, hi: Point,
 
     Piece values cover the interiors; breakpoints and integer seam points
     interior to (lo, hi) are evaluated directly, so the result is the true
-    minimum over every point of the open interval.
+    minimum over every point of the open interval. Each integer slab of
+    (lo, hi) bisects the sorted breakpoints for the pieces it meets: the
+    cost is O(log P + pieces met) compares per slab, for P pieces.
     """
     if compare(lo, hi) >= 0:
         raise ValueError("empty interval")
     prof = profile or step_profile(mu, A)
-    basis = mu.basis
+    basis, bps = mu.basis, prof.breakpoints
     vals = []
     k_lo, k_hi = floor_point(lo), floor_point(hi)
     for k in range(k_lo, k_hi + 1):
@@ -325,15 +328,11 @@ def min_on_interval(mu: DiscreteMeasure, A: IntervalSet, lo: Point, hi: Point,
             continue
         if k != k_lo:
             vals.append(prof.point_value(a))  # interior seam point
-        a_red, b_red = a - k, b - k
-        for plo, phi, v in prof.pieces:
-            if compare(phi, a_red) <= 0 or compare(plo, b_red) >= 0:
-                continue
-            vals.append(v)
-            if compare(plo, a_red) > 0:
-                vals.append(prof.point_value(plo))  # interior breakpoint
-    if not vals:
-        raise ValueError("interval has no interior pieces")
+        # pieces i-1 .. j-1 meet (a - k, b - k); breakpoints i .. j-1 lie inside it
+        i = bisect_points(bps, a - k, right=True)
+        j = bisect_points(bps, b - k)
+        vals.extend(v for _, _, v in prof.pieces[i - 1:j])
+        vals.extend(map(prof.point_value, bps[i:j]))  # interior breakpoints
     return min(vals)
 
 
@@ -364,9 +363,6 @@ class Condition1Report:
     mass_ok: list[bool]
     tail_ratio: Fraction
     mass_tol: Fraction
-
-    def all_converged(self) -> bool:
-        return all(r.converged for r in self.rows)
 
     def to_json(self):
         return {

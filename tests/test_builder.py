@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import operator
 import random
@@ -234,6 +236,36 @@ def test_trim_and_explicit_verify(geom_seq):
     assert by_name["explicit.measure_inequality"].passed
     assert by_name["explicit.sup_on_B_components"].passed
     assert by_name["explicit.level_set_measure"].passed
+
+
+def test_explicit_E_cap_reads_the_factors(geom_seq):
+    # a witness whose stored count_F understates the factors must not
+    # enumerate E past the cap: the cap is tested on the factors' counts
+    wt = trim_witness(build_witness(geom_seq, F(1, 12), F(1, 2)), geom_seq,
+                      max_points=4)
+    bad = dataclasses.replace(wt, count_F=[1] * wt.m, count_E=wt.m)
+    assert len(bad.explicit_G(cap=10)) == wt.count_G <= 10 < wt.count_E
+    with pytest.raises(CapExceeded):
+        bad.explicit_E(cap=10)
+    with pytest.raises(CapExceeded):
+        verify_witness(bad, geom_seq, mode="explicit-brute-force", explicit_cap=10)
+
+
+def test_explicit_verify_report_digests(geom_seq):
+    # the explicit reports, pinned at scale: the trimmed Delta = 1/4 witness
+    # (m = 7, #E = 448) and the untrimmed Delta = 1/12 witness (m = 3,
+    # #E = 867, #G = 4913), whose components each bisect the step profiles
+    trimmed = trim_witness(build_witness(geom_seq, F(1, 4), F(1, 2)), geom_seq,
+                           max_points=4)
+    full = build_witness(geom_seq, F(1, 12), F(1, 2))
+    assert (trimmed.m, trimmed.count_E, full.m, full.count_E, full.count_G) == \
+        (7, 448, 3, 867, 4913)
+    digests = [hashlib.sha256(json.dumps(
+        verify_witness(w, geom_seq, mode="explicit-brute-force").to_json(),
+        sort_keys=True).encode()).hexdigest() for w in (trimmed, full)]
+    assert digests == [
+        "7636a660a0dd3db3aeb9275e53cf32f21aaa1444f529a76ce27671134f8d4604",
+        "68ecf9d98526ebc6a54b9bd23cba7d23aac6f06a367a3729263623ff064989b9"]
 
 
 def test_sampled_verify_deterministic(geom_seq):

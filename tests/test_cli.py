@@ -754,6 +754,27 @@ def test_sup_ratio_builds_honour_witness_caps(tmp_path, cap, code):
     assert run(tmp_path, "check-conditions") == code
 
 
+def test_understated_counts_stop_explicit_verify_at_the_cap(tmp_path):
+    # the trimmed m = 3 witness: #G = 8 passes the cap of 10; the file's
+    # count_F claims #E = 3, but the factors make 12 points of E, so the
+    # enumeration stops at the cap
+    write_config(tmp_path, n_measures=40, params={"delta": "1/2"})
+    assert run(tmp_path, "build-witness") == 0
+    blob = json.loads((tmp_path / "out" / "witness_trimmed.json").read_text())
+    assert (blob["count_G"], blob["count_E"]) == (8, 12)
+    blob["count_F"] = [1] * len(blob["count_F"])
+    blob["count_E"] = len(blob["count_F"])
+    bad = tmp_path / "out" / "bad_witness.json"
+    bad.write_text(json.dumps(blob))
+    write_config(tmp_path, n_measures=40,
+                 params={"delta": "1/2", "mode": "explicit-brute-force"})
+    assert run(tmp_path, "verify", extra=("--witness", str(bad),
+                                          "--explicit-cap", "10")) == 2
+    rep = report(tmp_path, "verify")
+    assert rep["status"] == "resource-cap"
+    assert rep["results"]["error"] == "explicit E needs 12 points, cap 10"
+
+
 @pytest.mark.parametrize("command, params, message", [
     ("verify", {"mode": "sampled", "samples": 0},
      "sampled verification needs samples >= 1, got 0"),

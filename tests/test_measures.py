@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepout.exactreal import GeneratorBasis, IntervalSet, PointSet
+from sweepout.exactreal import (GeneratorBasis, IntervalSet, PointSet, compare,
+                               floor_point)
 from sweepout.measures import (DiscreteMeasure, MeasureSequence,
                                chebyshev_check, check_condition_one,
                                convolve_indicator, min_on_interval,
@@ -178,6 +179,87 @@ def test_min_on_interval_sees_seam_points(rat_basis):
                            rat_basis.rational(F(3, 5)), profile=prof) == 1
 
 
+def _scan_min(mu, A, lo, hi, prof):
+    """The minimum of S 1_A over (lo, hi) by a full scan of the profile's
+    pieces: the reference that min_on_interval's bisection reproduces."""
+    basis = mu.basis
+    vals = []
+    k_lo, k_hi = floor_point(lo), floor_point(hi)
+    for k in range(k_lo, k_hi + 1):
+        a = lo if k == k_lo else basis.rational(k)
+        b = hi if k == k_hi else basis.rational(k + 1)
+        if compare(a, b) >= 0:
+            continue
+        if k != k_lo:
+            vals.append(prof.point_value(a))
+        a_red, b_red = a - k, b - k
+        for plo, phi, v in prof.pieces:
+            if compare(phi, a_red) <= 0 or compare(plo, b_red) >= 0:
+                continue
+            vals.append(v)
+            if compare(plo, a_red) > 0:
+                vals.append(prof.point_value(plo))
+    return min(vals)
+
+
+def _random_point(basis, rng, lo, hi):
+    """A random rational in [lo, hi] on a grid of 1/60, moved by a small
+    surd part when the basis has generators."""
+    q = F(rng.randint(int(lo * 60), int(hi * 60)), 60)
+    return basis.point([q] + [F(rng.randint(-3, 3), 97) for _ in range(basis.dim - 1)])
+
+
+def _probe_intervals(prof, rng):
+    """Open intervals that cross integers, sit at negative k, end exactly
+    on breakpoints or lie inside one piece, and some at random; and one
+    around each breakpoint, which holds it alone."""
+    basis = prof.mu.basis
+    bps, pieces = prof.breakpoints, prof.pieces
+    out = [(bps[i - 1] - 1, bps[i + 1] - 1) for i in range(1, len(bps) - 1)]
+    for _ in range(3):
+        lo = _random_point(basis, rng, F(-2), F(1))
+        out.append((lo, lo + F(rng.randint(1, 150), 60)))
+        i = rng.randrange(len(bps) - 1)
+        j = rng.randrange(i + 1, len(bps))
+        k = rng.randint(-2, 1)
+        out.append((bps[i] + k, bps[j] + k))
+        out.append((bps[i] + k, bps[j] + k + rng.randint(1, 2)))
+        plo, phi, _ = pieces[rng.randrange(len(pieces))]
+        out.append((plo + (phi - plo) * F(1, 3) + k, plo + (phi - plo) * F(2, 3) + k))
+        out.append((plo + k, phi + k))
+    return out
+
+
+def _check_min_against_scan(basis, seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        atoms = [_random_point(basis, rng, F(1, 10), F(9, 10))
+                 for _ in range(rng.randint(1, 4))]
+        mu = DiscreteMeasure(atoms, [F(rng.randint(1, 5), 6) for _ in atoms])
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            # about half the components abut the one before: open sets keep
+            # the shared end out, so S 1_A dips at its translates
+            lo = parts[-1][1] if parts and rng.random() < 0.5 else \
+                _random_point(basis, rng, F(-1), F(1))
+            parts.append((lo, lo + F(rng.randint(1, 15), 60)))
+        A = IntervalSet.canonicalize(basis, parts)
+        prof = step_profile(mu, A)
+        for lo, hi in _probe_intervals(prof, rng):
+            assert min_on_interval(mu, A, lo, hi, profile=prof) == _scan_min(mu, A, lo, hi, prof)
+
+
+def test_min_on_interval_matches_full_scan(rat_basis, surd_basis):
+    _check_min_against_scan(rat_basis, 22)
+    _check_min_against_scan(surd_basis, 23)
+
+
+def test_min_on_interval_matches_full_scan_with_filter_off(rat_basis, surd_basis,
+                                                           filter_off):
+    filter_off()
+    test_min_on_interval_matches_full_scan(rat_basis, surd_basis)
+
+
 # ---------------------------------------------------------------------------
 # condition checks
 # ---------------------------------------------------------------------------
@@ -189,7 +271,7 @@ def test_condition_one_geometric(rat_basis):
     row = rep.rows[0]
     assert row.tail_index == 2
     assert row.values[1:] == [F(1)] * 5
-    assert rep.all_converged()
+    assert all(r.converged for r in rep.rows)
 
 
 def test_condition_one_failure_flagged(rat_basis):
