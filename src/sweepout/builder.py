@@ -314,8 +314,7 @@ class Selection:
 
 def select_subsequence(seq: MeasureSequence, eps: Fraction, m: int,
                        m_max: int = DEFAULT_M_MAX,
-                       tuple_cap: int = DEFAULT_TUPLE_CAP,
-                       start_index: int = 0) -> Selection:
+                       tuple_cap: int = DEFAULT_TUPLE_CAP) -> Selection:
     """Greedy gap-separated selection of m witness pairs.
 
     A candidate measure is attempted only when its support bound already
@@ -327,7 +326,7 @@ def select_subsequence(seq: MeasureSequence, eps: Fraction, m: int,
     factors: list[EGPair] = []
     skipped: list[dict] = []
     prev_quarter: Point | None = None
-    for idx in range(start_index, len(seq)):
+    for idx in range(len(seq)):
         if len(factors) == m:
             break
         mu = seq[idx]
@@ -527,22 +526,24 @@ class SweepOutWitness:
         # sampled verification draws the E factor with weights count_F
         if min(w.count_F) < 1:
             raise ConfigError(f"count_F = {w.count_F} holds a count below 1")
+        # the eps_prime-thickenings are open intervals of positive width
+        if w.eps_prime.sign() <= 0:
+            raise ConfigError("eps_prime must be positive")
         return w
 
 
 def _certified_thickening(extents: Sequence[tuple[Point, Point, Point]]) -> Point:
     """Lower bound for half the minimum gap of the full sumset:
-    min_k ( d(A_k) - 2 sum_{i>k} max|A_i| ) / 2, certified positive, from
-    the _extent of each factor set A_k; the sums over i > k are suffix
-    sums."""
+    min_k ( d(A_k) - 2 sum_{i>k} max|A_i| ) / 2, from the _extent of each
+    of the m >= 1 factor sets A_k; the sums over i > k are suffix sums.
+    The bound may be zero or negative: _assemble refuses such a family,
+    and verify reports it as a failed thickening_radius check."""
     best = tail = None  # tail: sum_{i>k} max|A_i|
     for abs_max, _, gap in reversed(extents):
         half = (gap if tail is None else gap - tail * 2) * Fraction(1, 2)
         if best is None or compare(half, best) < 0:
             best = half
         tail = abs_max if tail is None else tail + abs_max
-    if best is None or best.sign() <= 0:
-        raise VerificationFailed("thickening radius is not certified positive")
     return best
 
 
@@ -596,6 +597,8 @@ def _assemble(Delta: Fraction, delta: Fraction, eps: Fraction,
         raise VerificationFailed("separation chain failed on selected factors",
                                  report=sep.to_json())
     eps_prime = _certified_thickening(extents)
+    if eps_prime.sign() <= 0:
+        raise VerificationFailed("thickening radius is not certified positive")
     count_G, count_F = _product_counts(factors)
     count_E = sum(count_F)
     if not Fraction(count_E) > Delta * count_G:

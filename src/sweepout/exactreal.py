@@ -127,14 +127,13 @@ class Generator:
     """One basis element: an exact rational, a square-root surd, or a
     decimal literal of declared precision (in bits)."""
 
-    __slots__ = ("kind", "value", "radicand", "bits", "_cache")
+    __slots__ = ("kind", "value", "radicand", "bits")
 
     def __init__(self, kind, value=None, radicand=None, bits=None):
         self.kind = kind
         self.value = value          # Fraction for "rat" and "dec"
         self.radicand = radicand    # int for "sqrt"
         self.bits = bits            # declared precision for "dec"
-        self._cache = {}
 
     @classmethod
     def parse(cls, spec: str) -> "Generator":
@@ -174,18 +173,15 @@ class Generator:
 
         For "dec" generators the interval never narrows past the declared
         precision; comparisons that need more raise PrecisionExhausted.
+        GeneratorBasis.enclosures, the one caller, caches it per bits.
         """
         if self.kind == "rat":
             return self.value, self.value
         if self.kind == "dec":
             half = Fraction(1, 2**self.bits)
             return self.value - half, self.value + half
-        got = self._cache.get(bits)
-        if got is None:
-            scaled = math.isqrt(self.radicand << (2 * bits))
-            got = (Fraction(scaled, 2**bits), Fraction(scaled + 1, 2**bits))
-            self._cache[bits] = got
-        return got
+        scaled = math.isqrt(self.radicand << (2 * bits))
+        return Fraction(scaled, 2**bits), Fraction(scaled + 1, 2**bits)
 
     def __repr__(self):
         return f"Generator({self.spec_string()!r})"

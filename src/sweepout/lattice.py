@@ -23,9 +23,11 @@ error of float(p) and all rounding. A tuple's Point (point_of) carries
 the ball of combination_ball. The kernel reads the float edges sorted, so
 edges that collide in doubles (a tie or a swap) go through it as usual:
 the guard keeps every tuple it decides on the same side of each exact
-edge. The shift closure's interval test runs
-through the same filter; only sums within the guard of -x_l or x_l are
-built as Points and compared exactly.
+edge. The kernel is the filter's one consumer. The shift closure's
+interval test needs no float data: its hits lie in (-x_l, 0) exactly,
+and one exact test per spec puts every row value in (0, x_l], so each
+sum lies in (-x_l, x_l); a spec that fails that test (one built by hand)
+has each sum compared exactly instead.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def decompose(X: Sequence[Point]) -> LatticeSpec:
 # ---------------------------------------------------------------------------
 
 def _filter_data(spec: LatticeSpec, window: IntervalSet, bounds: Sequence[int]):
-    """(y_hat, edges, guard) for the kernel and the closure filter.
+    """(y_hat, edges, guard) for the kernel, as _classify passes them.
 
     y_hat[i] is the midpoint of the cached Y[i].approx(), edges are the
     window's edges scaled by p in doubles (exactreal.scaled_edges), and
@@ -412,10 +414,11 @@ def shift_closure_check(spec: LatticeSpec, m: int,
 
     Membership on the left factor is decided by the lattice classifier;
     each sum is checked through its integer representation (unique over
-    the independent core) plus an interval test. The interval test runs
-    through the kernel's float filter: a sum whose double lies more than
-    the guard inside both float edges is inside, and only the others are
-    decided exactly. Failure returns the violating pair.
+    the independent core) plus an interval test. The interval test is
+    decided once per spec: when every row value lies in (0, x_l], each
+    hit h in (-x_l, 0) gives -x_l < h + row < x_l, so every sum within
+    the integer bounds is inside. Otherwise each such sum is compared
+    exactly with -x_l and x_l. Failure returns the violating pair.
     """
     x_l = spec.x_l
     neg_x_l = -x_l
@@ -423,10 +426,8 @@ def shift_closure_check(spec: LatticeSpec, m: int,
     _, hits = _classify(spec, m, window, cap, collect=True)
     nu = spec.nu
     hi_bounds = spec.bounds(m + 1)
-    y_hat, edges, guard = _filter_data(
-        spec, IntervalSet.single(spec.basis, neg_x_l, x_l), hi_bounds)
-    e_lo, e_hi = edges
-    head, y_last = y_hat[:-1], y_hat[-1]
+    rows_inside = all(v.sign() > 0 and compare(v, x_l) <= 0
+                      for v in map(spec.point_of, spec.coeffs))
     checked = 0
     for tup in hits:
         for k, row in enumerate(spec.coeffs):
@@ -434,12 +435,7 @@ def shift_closure_check(spec: LatticeSpec, m: int,
             checked += 1
             ok_bounds = all(abs(s[i]) <= hi_bounds[i] for i in range(nu))
             if ok_bounds:
-                # the float value, summed in the kernel's order
-                v = 0.0
-                for n, y in zip(s, head):
-                    v += n * y
-                v += s[-1] * y_last
-                if v - e_lo > guard and e_hi - v > guard:
+                if rows_inside:
                     continue
                 val = spec.point_of(s)
                 if compare(val, neg_x_l) > 0 and compare(val, x_l) < 0:

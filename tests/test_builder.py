@@ -13,7 +13,9 @@ from sweepout.builder import (EGPair, SweepOutWitness, build_eg,
                               build_witness, oscillation_trace, required_m,
                               select_subsequence, separation_check,
                               trim_witness, unique_sum_check, verify_witness)
-from sweepout.errors import (CapExceeded, GrowthExhausted, SequenceExhausted)
+from sweepout.builder import _assemble, _certified_thickening, _extent
+from sweepout.errors import (CapExceeded, GrowthExhausted, SequenceExhausted,
+                             VerificationFailed)
 from sweepout.exactreal import PointSet, compare, extent, min_gap
 from sweepout.measures import DiscreteMeasure, MeasureSequence, convolve_indicator
 from tests import test_exactreal
@@ -221,6 +223,31 @@ def test_corrupted_witness_fails_named_check(geom_seq, surd_basis):
     assert not rep.passed
     names = {c.name for c in rep.failing()}
     assert any(n.startswith("factor[0]") for n in names)
+
+
+def test_reversed_factors_fail_named_checks(geom_seq, surd_basis):
+    # factors listed smallest first: the separation chain fails and the
+    # certified thickening bound is negative, and verify reports both as
+    # failed checks instead of raising
+    w = build_witness(geom_seq, F(1, 12), F(1, 2))
+    blob = w.to_json()
+    for key in ("factors", "indices", "count_F"):
+        blob[key].reverse()
+    bad = SweepOutWitness.from_json(surd_basis, blob)
+    assert _certified_thickening([_extent(s) for s in bad.factor_sets()]).sign() < 0
+    for mode in ("factor-exact", "sampled"):
+        rep = verify_witness(bad, geom_seq, mode=mode)
+        names = {c.name for c in rep.failing()}
+        assert {"separation_chain", "thickening_radius"} <= names, mode
+    with pytest.raises(VerificationFailed, match="separation chain failed"):
+        _assemble(w.Delta, w.delta, w.epsilon, bad.indices, bad.factors)
+
+
+def test_non_positive_eps_prime_rejected(geom_seq, surd_basis):
+    blob = build_witness(geom_seq, F(1, 12), F(1, 2)).to_json()
+    for eps_prime in (["0", "0", "0"], ["-1/1000", "0", "0"]):
+        blob["eps_prime"] = {"coeffs": eps_prime}
+        raises_config_error(SweepOutWitness.from_json, surd_basis, blob)
 
 
 def test_trim_and_explicit_verify(geom_seq):

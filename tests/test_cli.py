@@ -488,6 +488,58 @@ def test_trim_points_below_one_exit_3(tmp_path, capsys, command, trim):
     assert err == f"config error: params.trim_points = {trim}: must be a positive integer\n"
 
 
+def _demo_witness_to_verify(tmp_path, name, tamper):
+    """Build the demo witnesses, write file name tampered by tamper, and
+    return a function that verifies it in a mode (into out-<mode>)."""
+    assert run_demo(tmp_path / "out", "build-witness") == 0
+    blob = json.loads((tmp_path / "out" / name).read_text())
+    tamper(blob)
+    bad = tmp_path / "bad_witness.json"
+    bad.write_text(json.dumps(blob))
+    cfg = json.loads(DEMO_CONFIG.read_text())
+
+    def verify(mode):
+        cfg["params"]["mode"] = mode
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        return run(tmp_path, "verify", out=f"out-{mode}", extra=("--witness", str(bad)))
+
+    return verify
+
+
+def _reverse_factors(blob):
+    for key in ("factors", "indices", "count_F"):
+        blob[key].reverse()
+
+
+def test_reversed_factors_verify_reports_failed_checks(tmp_path, capsys):
+    # the 7 demo factors listed smallest first: the certified thickening
+    # bound is negative, and verify writes a report that names the checks
+    verify = _demo_witness_to_verify(tmp_path, "witness.json", _reverse_factors)
+    for mode in ("factor-exact", "sampled"):
+        capsys.readouterr()
+        assert verify(mode) == 1
+        assert capsys.readouterr().err.startswith(
+            "verify: verification-failed: separation_chain; thickening_radius")
+        rep = json.loads((tmp_path / f"out-{mode}" / "verification.json").read_text())
+        failing = [c["name"] for c in rep["checks"] if not c["passed"]]
+        assert failing[:2] == ["separation_chain", "thickening_radius"], mode
+        assert report(tmp_path, "verify", out=f"out-{mode}")["results"]["report"] == rep
+
+
+def _zero_eps_prime(blob):
+    blob["eps_prime"] = {"coeffs": ["0", "0", "0"]}
+
+
+def test_zero_eps_prime_exit_3(tmp_path, capsys):
+    # a witness with no thickening is a malformed file in every mode
+    verify = _demo_witness_to_verify(tmp_path, "witness_trimmed.json", _zero_eps_prime)
+    for mode in ("factor-exact", "sampled", "explicit-brute-force"):
+        capsys.readouterr()
+        assert verify(mode) == 3
+        assert capsys.readouterr().err == (
+            "config error: bad witness file: eps_prime must be positive\n")
+
+
 def test_build_witness_trim_points_zero_and_one(tmp_path):
     # 0 asks for no trimming; on the demo config one point cannot carry the
     # first factor's mass, which is a certified failure (exit 1)

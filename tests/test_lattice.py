@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from sweepout.errors import CapExceeded, PrecisionExhausted
-from sweepout.exactreal import GeneratorBasis, IntervalSet, compare, sort_points
+from sweepout.exactreal import (GeneratorBasis, IntervalSet, bisect_points, compare,
+                               sort_points)
 from sweepout import kernel
 from sweepout.lattice import (DEFAULT_TUPLE_CAP, ClosureCertificate,
                               CountReport, LatticeSpec, NuOneDensityError,
@@ -234,6 +235,31 @@ def test_count_colliding_float_edges(surd_spec, surd_basis):
     assert ties > 0 and swaps > 0
 
 
+def test_count_edges_near_lattice_values(surd_basis, root2_over8, root3_over4):
+    # the guard's answer test: p = 7 is not a power of two, so the doubles
+    # of the tuples and of the scaled edges carry rounding, and each
+    # window's lo edge lies 2^-54..2^-80 from a lattice value c, inside
+    # that error. The tests above use a power of two p or edges on lattice
+    # values, which go exact whatever the guard; here a guard cut to its
+    # absolute term miscounts.
+    a, b = root2_over8, root3_over4
+    spec = decompose([a, b, (a + b) * F(1, 3), (a * 2 + b) * F(1, 7)])
+    assert (spec.p, spec.tau, spec.tuple_count(3)) == (7, 21, 32385)
+    pts = enumerate_lattice(spec, 3)
+    width = surd_basis.rational(F(1, 64))
+    for c in random.Random(29).sample(pts, 20):
+        hi = c + width
+        j = bisect_points(pts, hi)
+        for k in range(54, 81):
+            h = surd_basis.rational(F(1, 2**k))
+            for lo in (c - h, c + h):
+                window = IntervalSet.single(surd_basis, lo, hi)
+                want = pts[bisect_points(pts, lo, right=True):j]
+                assert lattice_count(spec, 3, window) == len(want), (c, k)
+                hits = lattice_hits(spec, 3, window)
+                assert [p.key for p in hits] == [p.key for p in want], (c, k)
+
+
 def test_gamma_enclosure_precision_exhausted():
     # a denominator whose sign no precision decides: the enclosure stops
     # at the basis's precision cap instead of refining forever
@@ -388,7 +414,7 @@ def test_shift_closure_corrupted(surd_basis, root2_over8, root3_over4):
 
 
 # ---------------------------------------------------------------------------
-# the closure's float filter against the per-sum exact loop
+# the closure's once-per-spec interval test against the per-sum exact loop
 # ---------------------------------------------------------------------------
 
 def _closure_oracle(spec, m):
@@ -447,8 +473,9 @@ def _seeded_spec(rng, nu):
 
 
 def _coarse_decimal_spec():
-    # a 24-bit decimal generator within 3e-7 of 1/4: the guard is wide
-    # and many sums land within it of an edge, yet stay decidable
+    # a 24-bit decimal generator within 3e-7 of 1/4: the kernel's guard
+    # is wide, so tuples near -x_l or 0 go exact in _classify, yet stay
+    # decidable
     basis = GeneratorBasis.from_specs(["dec:0.2500003@24"], assert_independent=True)
     g = basis.point(["0", "1"])
     return decompose([g * F(1, 4), basis.rational(F(1, 6)),
@@ -475,7 +502,6 @@ def test_shift_closure_matches_exact_oracle(surd_basis, monkeypatch):
                              coeffs=((1, 0), (2, 0), (0, 2)), p=2, tau=1))
     specs.append(LatticeSpec(basis=surd_basis, X=(r3_4, r2_8), Y=(r3_4, r2_8),
                              coeffs=((1, 0), (0, 1)), p=1, tau=1))
-    fallback = 0
     violations = set()
     for spec in specs:
         window = IntervalSet.single(spec.basis, -spec.x_l, spec.basis.rational(0))
@@ -488,13 +514,13 @@ def test_shift_closure_matches_exact_oracle(surd_basis, monkeypatch):
             got = shift_closure_check(spec, m).to_json()
             assert got == want, (spec.to_json(), m)
             if got["ok"]:
-                fallback += calls[0] - in_classify
+                # one Point per row value, the once-per-spec interval
+                # test; no sum is built as a Point
+                assert calls[0] - in_classify == len(spec.coeffs), (spec.to_json(), m)
             else:
                 violations.add(got["witness"]["violates"])
                 assert "x" in got["witness"]
     assert violations == {"integer bounds", "interval"}
-    # some sums sat within the guard of an edge and were decided exactly
-    assert fallback > 0
 
 
 def _within(f, enclosure, guard):
