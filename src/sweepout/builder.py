@@ -309,7 +309,6 @@ def _sums(parts: Sequence[Sequence[Point]]):
 class Selection:
     indices: list[int]
     factors: list[EGPair]
-    skipped: list[dict]
 
 
 def select_subsequence(seq: MeasureSequence, eps: Fraction, m: int,
@@ -324,23 +323,17 @@ def select_subsequence(seq: MeasureSequence, eps: Fraction, m: int,
     """
     indices: list[int] = []
     factors: list[EGPair] = []
-    skipped: list[dict] = []
     prev_quarter: Point | None = None
     for idx in range(len(seq)):
         if len(factors) == m:
             break
         mu = seq[idx]
         if prev_quarter is not None and compare(mu.x_l, prev_quarter) > 0:
-            skipped.append({"index": idx, "reason": "support bound too large",
-                            "x_l": decimal_enclosure_str(mu.x_l),
-                            "required": decimal_enclosure_str(prev_quarter)})
-            continue
+            continue  # support bound too large
         pair = build_eg(mu, eps, m_max=m_max, mu_index=idx, tuple_cap=tuple_cap)
         mx, _, gap = _extent(pair.points())
         if prev_quarter is not None and compare(mx, prev_quarter) >= 0:
-            skipped.append({"index": idx, "reason": "gap condition failed after build",
-                            "max_abs": decimal_enclosure_str(mx)})
-            continue
+            continue  # gap condition failed after build
         indices.append(idx)
         factors.append(pair)
         prev_quarter = gap * Fraction(1, 4)
@@ -349,7 +342,7 @@ def select_subsequence(seq: MeasureSequence, eps: Fraction, m: int,
             f"selected only {len(factors)} of {m} factors; next factor needs "
             f"support below {float(prev_quarter) if prev_quarter is not None else 'n/a'}",
             required_bound=prev_quarter)
-    return Selection(indices=indices, factors=factors, skipped=skipped)
+    return Selection(indices=indices, factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +749,7 @@ def _explicit_checks(w: SweepOutWitness, seq: MeasureSequence,
         used = None
         worst = None
         for i in order:
-            val = min_on_interval(seq[w.indices[i]], A, lo, hi, profile=profiles[i])
+            val = min_on_interval(profiles[i], lo, hi)
             if worst is None or val > worst:
                 worst = val
             if val > w.delta:
@@ -829,8 +822,10 @@ def verify_witness(w: SweepOutWitness, seq: MeasureSequence,
     thickening radius and counts (sufficient by the factored reduction).
     explicit-brute-force additionally enumerates the sumsets, builds A
     and B as concrete IntervalSets and establishes the convolution bound
-    on every component of B exactly. sampled draws random points of B and
-    evaluates the convolution directly through factored membership.
+    on every component of B exactly; that enumeration presupposes the
+    disjoint thickening, so it runs only when thickening_radius passed.
+    sampled draws random points of B and evaluates the convolution
+    directly through factored membership.
     """
     if mode not in ("factor-exact", "explicit-brute-force", "sampled"):
         raise ConfigError(f"unknown verify mode: {mode}")
@@ -838,7 +833,8 @@ def verify_witness(w: SweepOutWitness, seq: MeasureSequence,
         raise ConfigError(f"sampled verification needs samples >= 1, got {samples}")
     checks = _factor_checks(w, seq)
     if mode == "explicit-brute-force":
-        checks += _explicit_checks(w, seq, cap=explicit_cap)
+        if next(c.passed for c in checks if c.name == "thickening_radius"):
+            checks += _explicit_checks(w, seq, cap=explicit_cap)
     elif mode == "sampled":
         checks += _sampled_checks(w, seq, samples=samples, seed=seed)
     return VerificationReport(mode=mode, checks=checks)

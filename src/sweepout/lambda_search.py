@@ -76,7 +76,7 @@ from .exactreal import (IntervalSet, Point, certified_clusters, compare,
                         cut_limit, decimal_enclosure_str, escalate,
                         floor_point, fraction_str, parse_fraction,
                         scaled_approx, scaled_balls, scaled_mid)
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _mass_units
 
 DEFAULT_FLOOR_SCALE = 10**4
 DEFAULT_PIECE_CAP = 10**6
@@ -122,13 +122,6 @@ def _check_params(eps: Fraction, delta: Fraction, floor_scale: int) -> None:
     # upper end ever falls to a negative floor
     if floor_scale < 1:
         raise ConfigError(f"floor_scale must be a positive integer, got {floor_scale}")
-
-
-def _mass_units(mu: DiscreteMeasure) -> tuple[int, list[int]]:
-    """(D, units): D the lcm of the mass denominators, units each mass in
-    units of 1/D. Piece values are integers in the same units."""
-    denom = math.lcm(*(m.denominator for m in mu.masses))
-    return denom, [m.numerator * (denom // m.denominator) for m in mu.masses]
 
 
 def _window_range(t: Point, eps: Fraction, r: Point, lam_floor: Point) -> tuple[int, int]:

@@ -14,7 +14,10 @@ exact step function on [0, 1), which gives level sets, integrals and
 per-interval minima with no approximation; a minimum bisects the sorted
 breakpoints for the pieces its interval meets. It backs both the mass
 identity  integral S 1_G = |mu| |G|  and the Chebyshev-style level-set
-bound, and is reused by the witness verifier.
+bound, and is reused by the witness verifier. Atoms lie in (0, 1) and
+the torus image of A in [0, 1), so its translate by -x_k wraps once, at
+x_k: no piece needs a floor. Step changes are integers over the lcm of
+the mass denominators (_mass_units, shared with the lambda sweep).
 
 A MeasureSequence read from JSON is lazy: from_json checks the structure
 of every entry up front and parses each measure on its first read, so a
@@ -23,8 +26,10 @@ command that needs one measure of a long sequence parses only that one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import ConfigError
@@ -207,35 +212,34 @@ def convolve_indicator(mu: DiscreteMeasure, target, x: Point) -> Fraction:
 # torus-canonical interval sets and the exact overlay
 # ---------------------------------------------------------------------------
 
-def torus_pieces(A: IntervalSet) -> list[tuple[Point, Point]]:
-    """Split the components of A at integers and reduce into [0, 1).
+def _mass_units(mu: DiscreteMeasure) -> tuple[int, list[int]]:
+    """(D, units): D the lcm of the mass denominators, units each mass in
+    units of 1/D. Piece values are integers in the same units."""
+    denom = math.lcm(*(m.denominator for m in mu.masses))
+    return denom, [m.numerator * (denom // m.denominator) for m in mu.masses]
 
+
+def to_torus(A: IntervalSet) -> IntervalSet:
+    """Canonical image of A in [0, 1), overlaps merged.
+
+    Each component is split at the integers and reduced into [0, 1).
     Only seam points (integers interior to a component) are lost, a finite
-    set, so measure and level-set computations are unaffected.
+    set, so measure and level-set computations are unaffected. A component
+    at least as long as the whole circle raises ValueError.
     """
-    one = A.basis.rational(1)
-    out = []
+    basis = A.basis
+    one = basis.rational(1)
+    pieces = []
     for lo, hi in A:
         if compare(hi - lo, one) >= 0:
             raise ValueError("component at least as long as the whole circle")
         shift = -floor_point(lo)
-        lo2, hi2 = lo + shift, hi + shift
-        if compare(hi2, one) <= 0:
-            out.append((lo2, hi2))
+        lo, hi = lo + shift, hi + shift
+        if compare(hi, one) <= 0:
+            pieces.append((lo, hi))
         else:
-            out.append((lo2, one))
-            out.append((A.basis.rational(0), hi2 - 1))
-    return out
-
-
-def to_torus(A: IntervalSet) -> IntervalSet:
-    """Canonical image of A in [0, 1), overlaps merged."""
-    pieces = torus_pieces(A)
-    return IntervalSet.canonicalize(A.basis, pieces) if pieces else IntervalSet.empty(A.basis)
-
-
-def translate_torus(A: IntervalSet, shift: Point) -> IntervalSet:
-    return to_torus(A.translate(shift))
+            pieces += [(lo, one), (basis.rational(0), hi - 1)]
+    return IntervalSet.canonicalize(basis, pieces)
 
 
 @dataclass
@@ -265,49 +269,50 @@ class StepProfile:
 
     def level_set(self, threshold: Fraction) -> IntervalSet:
         """Open pieces where the step value strictly exceeds threshold."""
-        basis = self.mu.basis
-        picks = [(lo, hi) for lo, hi, v in self.pieces if v > threshold]
-        return IntervalSet.canonicalize(basis, picks) if picks else IntervalSet.empty(basis)
+        return IntervalSet.canonicalize(
+            self.mu.basis, [(lo, hi) for lo, hi, v in self.pieces if v > threshold])
 
 
 def step_profile(mu: DiscreteMeasure, A: IntervalSet) -> StepProfile:
     """Overlay of all torus translates A - x_k weighted by their masses.
 
-    The pieces come from the canonical torus image of A, so line sets
+    The pieces come from the canonical torus image A_t of A, so line sets
     that overlap themselves mod 1 contribute as the indicator of their
     projection (0/1), exactly like convolve_indicator sees them. That
     image drops the seam points, integers interior to a component, so
-    point values are taken on A itself.
+    point values are taken on A itself. A_t - a lies in (-1, 1) and wraps
+    once, at a: one bisection of the upper ends and one compare find the
+    components that end at or below a, which move up by 1, and the one
+    across a, which splits at 0. Step changes are ints (_mass_units).
     """
-    A_t = to_torus(A)
-    basis = mu.basis
-    deltas: dict = {}
-    points: dict = {}
-
-    def add(pt: Point, dm: Fraction):
-        key = pt.key
-        deltas[key] = deltas.get(key, Fraction(0)) + dm
-        points.setdefault(key, pt)
-
-    zero, one = basis.rational(0), basis.rational(1)
-    add(zero, Fraction(0))
-    add(one, Fraction(0))
-    for a, m in zip(mu.atoms, mu.masses):
-        for lo, hi in torus_pieces(A_t.translate(-a)):
-            add(lo, m)
-            add(hi, -m)
+    comps = to_torus(A).intervals
+    his = [hi for _, hi in comps]
+    zero, one = mu.basis.rational(0), mu.basis.rational(1)
+    deltas = {zero.key: 0, one.key: 0}
+    points = {zero.key: zero, one.key: one}
+    denom, units = _mass_units(mu)
+    for a, u in zip(mu.atoms, units):
+        up = one - a
+        j = bisect_points(his, a, right=True)  # comps[:j] end at or below a
+        ends = [(lo + up, hi + up) for lo, hi in comps[:j]]
+        if j < len(comps) and compare(comps[j][0], a) < 0:  # comps[j] straddles a
+            ends += [(comps[j][0] + up, one), (zero, comps[j][1] - a)]
+            j += 1
+        ends += [(lo - a, hi - a) for lo, hi in comps[j:]]
+        for lo, hi in ends:
+            for pt, du in ((lo, u), (hi, -u)):
+                deltas[pt.key] = deltas.get(pt.key, 0) + du
+                points.setdefault(pt.key, pt)
     bps = sort_points(points.values())
-    pieces = []
-    running = Fraction(0)
-    for b, nxt in zip(bps, bps[1:]):
-        running += deltas[b.key]
-        pieces.append((b, nxt, running))
+    runs = list(accumulate(deltas[b.key] for b in bps[:-1]))
+    value = {n: Fraction(n, denom) for n in set(runs)}  # one Fraction per value
+    pieces = [(b, nxt, value[n]) for b, nxt, n in zip(bps, bps[1:], runs)]
     return StepProfile(mu=mu, target=A, breakpoints=bps, pieces=pieces)
 
 
-def min_on_interval(mu: DiscreteMeasure, A: IntervalSet, lo: Point, hi: Point,
-                    profile: StepProfile | None = None) -> Fraction:
-    """Exact minimum of x -> S 1_A(x) over the open interval (lo, hi).
+def min_on_interval(prof: StepProfile, lo: Point, hi: Point) -> Fraction:
+    """Exact minimum of x -> S 1_A(x) over the open interval (lo, hi), for
+    the measure and set A of the profile prof.
 
     Piece values cover the interiors; breakpoints and integer seam points
     interior to (lo, hi) are evaluated directly, so the result is the true
@@ -317,8 +322,7 @@ def min_on_interval(mu: DiscreteMeasure, A: IntervalSet, lo: Point, hi: Point,
     """
     if compare(lo, hi) >= 0:
         raise ValueError("empty interval")
-    prof = profile or step_profile(mu, A)
-    basis, bps = mu.basis, prof.breakpoints
+    basis, bps = prof.mu.basis, prof.breakpoints
     vals = []
     k_lo, k_hi = floor_point(lo), floor_point(hi)
     for k in range(k_lo, k_hi + 1):
@@ -451,7 +455,7 @@ def chebyshev_check(mu: DiscreteMeasure, G: IntervalSet, eps: Fraction) -> Cheby
     expected = g_measure * mu.total_mass
     translates = mu.basis.zero()
     for a, m in zip(mu.atoms, mu.masses):
-        translates = translates + translate_torus(G, -a).measure() * m
+        translates = translates + to_torus(G.translate(-a)).measure() * m
     prof = step_profile(mu, G)
     integral = prof.integral()
     identity_ok = translates == expected and integral == expected

@@ -526,6 +526,31 @@ def test_reversed_factors_verify_reports_failed_checks(tmp_path, capsys):
         assert report(tmp_path, "verify", out=f"out-{mode}")["results"]["report"] == rep
 
 
+def _set_eps_prime(value):
+    def tamper(blob):
+        blob["eps_prime"] = {"coeffs": [value, "0", "0"]}
+    return tamper
+
+
+@pytest.mark.parametrize("tamper", [_set_eps_prime("3/10"), _set_eps_prime("1/2"),
+                                    _reverse_factors],
+                         ids=["eps_prime=3/10", "eps_prime=1/2", "reversed"])
+def test_thickening_above_certified_bound_exit_1(tmp_path, capsys, tamper):
+    # the trimmed demo witness with eps' above its certified bound: the
+    # thickened G may span the whole circle, so explicit verify does not
+    # enumerate it, and every mode reports the failed thickening_radius
+    verify = _demo_witness_to_verify(tmp_path, "witness_trimmed.json", tamper)
+    for mode in ("factor-exact", "sampled", "explicit-brute-force"):
+        capsys.readouterr()
+        assert verify(mode) == 1, mode
+        assert "thickening_radius" in capsys.readouterr().err
+        rep = json.loads((tmp_path / f"out-{mode}" / "verification.json").read_text())
+        names = [c["name"] for c in rep["checks"]]
+        failing = [c["name"] for c in rep["checks"] if not c["passed"]]
+        assert "thickening_radius" in failing, mode
+        assert not any(n.startswith("explicit.") for n in names), mode
+
+
 def _zero_eps_prime(blob):
     blob["eps_prime"] = {"coeffs": ["0", "0", "0"]}
 

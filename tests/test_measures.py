@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,7 @@ from sweepout.exactreal import (GeneratorBasis, IntervalSet, PointSet, compare,
 from sweepout.measures import (DiscreteMeasure, MeasureSequence,
                                chebyshev_check, check_condition_one,
                                convolve_indicator, min_on_interval,
-                               step_profile, to_torus, torus_pieces,
-                               translate_torus)
+                               step_profile, to_torus)
 from tests.conftest import (geometric_sequence, raises_config_error,
                             raises_plain_value_error)
 
@@ -110,7 +110,7 @@ def test_to_torus_splitting(rat_basis):
     t = to_torus(A)
     assert t.measure() == F(1, 2)
     assert len(t) == 2
-    assert translate_torus(A, rat_basis.rational(F(1, 2))).measure() == F(1, 2)
+    assert to_torus(A.translate(rat_basis.rational(F(1, 2)))).measure() == F(1, 2)
 
 
 def test_step_profile_matches_pointwise(rat_basis):
@@ -149,18 +149,100 @@ def test_mass_identity_randomized(rat_basis):
         assert step_profile(mu, G).integral() == expected
 
 
+def _reference_step_profile(mu, A):
+    """(breakpoint keys, pieces as (lo key, hi key, value)) of the overlay
+    built the general way: every translate A_t - a reduced mod 1 piece by
+    piece through floor_point, the masses summed as Fractions. The
+    reference that step_profile's one wrap per atom reproduces."""
+    basis = mu.basis
+    zero, one = basis.rational(0), basis.rational(1)
+    deltas, points = {}, {}
+
+    def add(pt, dm):
+        deltas[pt.key] = deltas.get(pt.key, F(0)) + dm
+        points.setdefault(pt.key, pt)
+
+    add(zero, F(0))
+    add(one, F(0))
+    A_t = to_torus(A)
+    for a, m in zip(mu.atoms, mu.masses):
+        for lo, hi in A_t.translate(-a):
+            assert compare(hi - lo, one) < 0
+            shift = -floor_point(lo)
+            lo, hi = lo + shift, hi + shift
+            parts = [(lo, hi)] if compare(hi, one) <= 0 else [(lo, one), (zero, hi - 1)]
+            for plo, phi in parts:
+                add(plo, m)
+                add(phi, -m)
+    bps = sorted(points.values(), key=cmp_to_key(compare))
+    pieces, running = [], F(0)
+    for b, nxt in zip(bps, bps[1:]):
+        running += deltas[b.key]
+        pieces.append((b.key, nxt.key, running))
+    return [b.key for b in bps], pieces
+
+
+def _wrap_case(basis, rng):
+    """A measure and a set whose torus image has components that end at,
+    start at or straddle an atom, start at 0, end at 1 and abut, with
+    atoms near 0 and near 1; the set sometimes crosses an integer and sits
+    away from [0, 1)."""
+    def jitter(scale):
+        return [F(rng.randint(-3, 3), scale) for _ in range(basis.dim - 1)]
+
+    atoms = [basis.point([F(rng.randint(1, 59), 60)] + jitter(997))
+             for _ in range(rng.randint(1, 3))]
+    atoms.append(basis.point([F(1, 1000)] + jitter(10**6)))
+    atoms.append(basis.point([F(999, 1000)] + jitter(10**6)))
+    mu = DiscreteMeasure(atoms, [F(rng.randint(1, 5), rng.randint(1, 7)) for _ in atoms])
+    # component ends among 0, 1, some atoms and random points; consecutive
+    # chosen gaps (e_i, e_i+1) abut, and atoms between ends are straddled
+    pool = [basis.rational(0), basis.rational(1)] + rng.sample(atoms, rng.randint(0, len(atoms)))
+    pool += [basis.point([F(rng.randint(1, 59), 60)] + jitter(997))
+             for _ in range(rng.randint(1, 4))]
+    ends = list({p.key: p for p in sorted(pool, key=cmp_to_key(compare))}.values())
+    comps = [(lo, hi) for lo, hi in zip(ends, ends[1:]) if rng.random() < 0.6]
+    comps = comps or [(ends[0], ends[1])]
+    if (len(comps) > 2 and comps[0][0].is_zero() and comps[-1][1] == 1
+            and rng.random() < 0.5):
+        # one component across 0 on the line
+        comps = [(comps[-1][0] - 1, comps[0][1])] + comps[1:-1]
+    return mu, IntervalSet.canonicalize(basis, comps).translate(rng.randint(-2, 1))
+
+
+def _check_overlay_against_reference(basis, seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        mu, A = _wrap_case(basis, rng)
+        prof = step_profile(mu, A)
+        bps, pieces = _reference_step_profile(mu, A)
+        assert [b.key for b in prof.breakpoints] == bps
+        assert [(lo.key, hi.key, v) for lo, hi, v in prof.pieces] == pieces
+
+
+def test_step_profile_matches_reference_overlay(rat_basis, surd_basis):
+    _check_overlay_against_reference(rat_basis, 31)
+    _check_overlay_against_reference(surd_basis, 32)
+
+
+def test_step_profile_matches_reference_overlay_with_filter_off(rat_basis, surd_basis,
+                                                                filter_off):
+    filter_off()
+    test_step_profile_matches_reference_overlay(rat_basis, surd_basis)
+
+
 def test_min_on_interval(rat_basis):
     mu = rational_measure(rat_basis, [(F(1, 4), F(1, 2)), (F(1, 2), F(1, 2))])
-    A = interval(rat_basis, F(1, 4), F(7, 8))
+    prof = step_profile(mu, interval(rat_basis, F(1, 4), F(7, 8)))
     # at x in (0, 1/8): x+1/4 and x+1/2 both inside -> S = 1
-    assert min_on_interval(mu, A, rat_basis.rational(F(1, 100)),
+    assert min_on_interval(prof, rat_basis.rational(F(1, 100)),
                            rat_basis.rational(F(1, 10))) == 1
     # the far atom drops out beyond x = 3/8
-    v = min_on_interval(mu, A, rat_basis.rational(F(1, 100)),
+    v = min_on_interval(prof, rat_basis.rational(F(1, 100)),
                         rat_basis.rational(F(3, 5)))
     assert v == F(1, 2)
     # and both atoms drop once x clears 5/8
-    v = min_on_interval(mu, A, rat_basis.rational(F(1, 100)),
+    v = min_on_interval(prof, rat_basis.rational(F(1, 100)),
                         rat_basis.rational(F(7, 10)))
     assert v == 0
 
@@ -175,8 +257,8 @@ def test_min_on_interval_sees_seam_points(rat_basis):
     prof = step_profile(mu, A)
     assert half.key in {b.key for b in prof.breakpoints}
     assert prof.point_value(half) == 1
-    assert min_on_interval(mu, A, rat_basis.rational(F(2, 5)),
-                           rat_basis.rational(F(3, 5)), profile=prof) == 1
+    assert min_on_interval(prof, rat_basis.rational(F(2, 5)),
+                           rat_basis.rational(F(3, 5))) == 1
 
 
 def _scan_min(mu, A, lo, hi, prof):
@@ -246,7 +328,7 @@ def _check_min_against_scan(basis, seed):
         A = IntervalSet.canonicalize(basis, parts)
         prof = step_profile(mu, A)
         for lo, hi in _probe_intervals(prof, rng):
-            assert min_on_interval(mu, A, lo, hi, profile=prof) == _scan_min(mu, A, lo, hi, prof)
+            assert min_on_interval(prof, lo, hi) == _scan_min(mu, A, lo, hi, prof)
 
 
 def test_min_on_interval_matches_full_scan(rat_basis, surd_basis):
@@ -352,5 +434,5 @@ def test_bad_input_raises_config_error(rat_basis):
     G = IntervalSet.single(rat_basis, 0, F(1, 4))
     raises_config_error(chebyshev_check, mu, G, F(0))
     # checks on values that the program computed stay plain ValueErrors
-    raises_plain_value_error(min_on_interval, mu, G, half, half)
-    raises_plain_value_error(torus_pieces, IntervalSet.single(rat_basis, 0, 2))
+    raises_plain_value_error(min_on_interval, step_profile(mu, G), half, half)
+    raises_plain_value_error(to_torus, IntervalSet.single(rat_basis, 0, 2))
